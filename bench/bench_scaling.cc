@@ -20,6 +20,8 @@
 //     pair: regions/sec to build a warm state by importing + writing
 //     through to a fresh region log vs regions/sec to reopen that log
 //     (recovery replay + directory rebuild) on restart;
+//   * MissAtScale — a true RAM miss (screened fallback + extraction)
+//     against 10^3..10^5 imported regions;
 //   * RetryOverhead — the audit workload through a FaultInjectingApi at
 //     0% / 1% / 5% injected transient failures: what budget-aware
 //     retries cost when the endpoint flakes (0% prices the machinery).
@@ -306,20 +308,20 @@ BENCHMARK(RetryOverhead)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// --- Region-cache candidate scan: bucketed (argmax + transpose
-// --- promotion) pruning vs the plain linear scan, at growing cache sizes.
+// --- Region-cache candidate lookup: the region index vs the plain linear
+// --- scan, at growing cache sizes.
 //
 // Point location across MANY regions with DIVERSE predicted classes is
-// the workload this pruning targets, so the endpoint here is a grid
-// model: [0,1]^2 x R^(d-2) split into k x k cells, each its own locally
-// linear region whose dominant class cycles through all C classes. (A
+// the workload the index targets, so the endpoint here is a grid model:
+// [0,1]^2 x R^(d-2) split into k x k cells, each its own locally linear
+// region whose dominant class cycles through all C classes. (A
 // randomly initialized PLNN is useless for this bench: its argmax is one
 // class over essentially the whole cube, collapsing every region into a
 // single bucket.) The cache is warmed with one extraction per cell, then
 // the measured loop looks up never-seen-before points inside cached
 // cells: the point memo misses (fresh raw bits), the candidate scan runs,
-// and a cached model validates — the 2-query hit path whose scan cost the
-// buckets prune.
+// and a cached model validates — the 2-query hit path whose lookup cost
+// the index prunes.
 
 class GridPlm : public api::Plm {
  public:
@@ -377,7 +379,7 @@ class GridPlm : public api::Plm {
   std::vector<api::LocalLinearModel> cells_;
 };
 
-void CandidateScan(benchmark::State& state, bool bucketed, bool indexed) {
+void CandidateScan(benchmark::State& state, bool indexed) {
   const size_t target_regions = static_cast<size_t>(state.range(0));
   const size_t k = static_cast<size_t>(
       std::llround(std::sqrt(static_cast<double>(target_regions))));
@@ -387,7 +389,6 @@ void CandidateScan(benchmark::State& state, bool bucketed, bool indexed) {
   api::PredictionApi api(&grid);
   interpret::EngineConfig config;
   config.num_threads = 1;  // measure the scan, not the pool
-  config.bucket_candidates = bucketed;
   config.use_region_index = indexed;
   interpret::InterpretationEngine engine(config);
   auto session = engine.OpenSession(api);
@@ -421,16 +422,12 @@ void CandidateScan(benchmark::State& state, bool bucketed, bool indexed) {
 }
 
 void CandidateScanLinear(benchmark::State& state) {
-  CandidateScan(state, /*bucketed=*/false, /*indexed=*/false);
-}
-void CandidateScanBucketed(benchmark::State& state) {
-  CandidateScan(state, /*bucketed=*/true, /*indexed=*/false);
+  CandidateScan(state, /*indexed=*/false);
 }
 void CandidateScanIndexed(benchmark::State& state) {
-  CandidateScan(state, /*bucketed=*/true, /*indexed=*/true);
+  CandidateScan(state, /*indexed=*/true);
 }
 BENCHMARK(CandidateScanLinear)->Arg(64)->Arg(256)->Arg(1024);
-BENCHMARK(CandidateScanBucketed)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(CandidateScanIndexed)->Arg(64)->Arg(256)->Arg(1024);
 
 // Production-scale lookup sweep: 10^3..10^6 cached regions, cache filled
@@ -465,8 +462,7 @@ void CandidateScanAtScale(benchmark::State& state, bool indexed,
   GridPlm grid(d, c, k, &model_rng);
   api::PredictionApi api(&grid);
   interpret::EngineConfig config;
-  config.num_threads = 1;       // measure the lookup, not the pool
-  config.bucket_candidates = false;  // reference leg = pure linear scan
+  config.num_threads = 1;  // measure the lookup, not the pool
   config.use_region_index = indexed;
   interpret::InterpretationEngine engine(config);
   auto session = engine.OpenSession(api);
@@ -532,6 +528,63 @@ BENCHMARK(CandidateScanAtScaleIndexedHot)
     ->Arg(10'000)
     ->Arg(100'000)
     ->Arg(1'000'000);
+
+// True misses at scale: the CandidateScanAtScale grid with every 16th
+// cell held out of the import. Each measured request is a fresh point in
+// a held-out cell never visited before, so it is a true RAM miss: the
+// index stab finds nothing, the fallback must rule out every cached
+// region (the log-odds screen, then the exact test on its survivors),
+// and the request pays a full extraction. The held-out cells are visited
+// once each in multiplicative-hash order, which caps the iteration count
+// at the smallest size's 64 held-out cells; the `misses` counter equals
+// the iteration count when every request was a true miss.
+void MissAtScale(benchmark::State& state) {
+  const size_t target_regions = static_cast<size_t>(state.range(0));
+  const size_t k = static_cast<size_t>(
+      std::llround(std::sqrt(static_cast<double>(target_regions))));
+  const size_t d = 8, c = 10;
+  util::Rng model_rng(kBenchSeed);
+  GridPlm grid(d, c, k, &model_rng);
+  api::PredictionApi api(&grid);
+  interpret::EngineConfig config;
+  config.num_threads = 1;  // measure the lookup, not the pool
+  interpret::InterpretationEngine engine(config);
+  auto session = engine.OpenSession(api);
+  std::vector<size_t> held_out;
+  for (size_t cell = 0; cell < k * k; ++cell) {
+    if (cell % 16 == 0) {
+      held_out.push_back(cell);
+      continue;
+    }
+    OPENAPI_CHECK(session
+                      ->ImportRegion(grid.CellModel(cell / k, cell % k),
+                                     grid.CellCenter(cell / k, cell % k),
+                                     grid.CellHalfEdge())
+                      .ok());  // seeding must not silently fail
+  }
+  const uint64_t before = session->stats().cache_misses;
+  uint64_t next = 0;
+  for (auto _ : state) {
+    const size_t cell = held_out[static_cast<size_t>(
+        ((next + 1) * 2654435761ULL) % held_out.size())];
+    ++next;
+    auto response = session->Interpret(
+        {grid.CellCenter(cell / k, cell % k), 0, {}}, /*seed=*/13,
+        /*stream=*/next);
+    benchmark::DoNotOptimize(response);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.counters["cached_regions"] =
+      static_cast<double>(k * k - held_out.size());
+  state.counters["misses"] =
+      static_cast<double>(session->stats().cache_misses - before);
+}
+BENCHMARK(MissAtScale)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(48)
+    ->Arg(1'000)
+    ->Arg(10'000)
+    ->Arg(100'000);
 
 // --- Tiered store warm restart: what does the persistent tier buy? ---
 //

@@ -43,6 +43,24 @@ std::vector<CoreParameters> PairsFromModel(const api::LocalLinearModel& model,
   return pairs;
 }
 
+/// The answer served from a cached model: no extraction, so no shrink
+/// iterations. `probe` is the validation pair's probe, or null when the
+/// request bought no pair (a point-memo hit).
+Interpretation FromCachedModel(const api::LocalLinearModel& model, size_t c,
+                               Vec* probe, uint64_t queries,
+                               double validation_edge) {
+  Interpretation out;
+  out.dc = api::GroundTruthDecisionFeatures(model, c);
+  out.pairs = PairsFromModel(model, c);
+  out.iterations = 0;
+  out.queries = queries;
+  if (probe != nullptr) {
+    out.edge_length = validation_edge;
+    out.probes.push_back(std::move(*probe));
+  }
+  return out;
+}
+
 }  // namespace
 
 // GCC 12 reports spurious -Wmaybe-uninitialized when a variant-backed
@@ -96,6 +114,7 @@ EndpointSession::EndpointSession(const InterpretationEngine* engine,
   if (engine_->config().use_region_cache &&
       engine_->config().use_region_index) {
     index_ = std::make_unique<RegionIndex>(api_->dim());
+    screen_ = std::make_unique<RegionScreen>(api_->dim());
   }
 }
 
@@ -105,15 +124,12 @@ EndpointSession::~EndpointSession() {
   // (not BumpGauge): the session side is being destroyed anyway. Goes
   // through the co-owned engine_stats_, never engine_ — the session may
   // be the last thing standing after the engine's own destruction.
-  engine_stats_->region_bytes.fetch_sub(
-      stats_.region_bytes.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  engine_stats_->memo_bytes.fetch_sub(
-      stats_.memo_bytes.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  engine_stats_->index_bytes.fetch_sub(
-      stats_.index_bytes.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
+  for (auto gauge : {&StatCounters::region_bytes, &StatCounters::memo_bytes,
+                     &StatCounters::index_bytes}) {
+    ((*engine_stats_).*gauge)
+        .fetch_sub((stats_.*gauge).load(std::memory_order_relaxed),
+                   std::memory_order_relaxed);
+  }
 }
 
 EngineStats EndpointSession::Snapshot(const StatCounters& counters) {
@@ -143,19 +159,16 @@ EngineStats EndpointSession::Snapshot(const StatCounters& counters) {
 void EndpointSession::Reset(StatCounters& counters) {
   // Activity counters only: the byte gauges track LIVE residency and
   // must stay in sync with the cache contents across a stats reset.
-  counters.requests.store(0, std::memory_order_relaxed);
-  counters.point_memo_hits.store(0, std::memory_order_relaxed);
-  counters.cache_hits.store(0, std::memory_order_relaxed);
-  counters.disk_hits.store(0, std::memory_order_relaxed);
-  counters.cache_misses.store(0, std::memory_order_relaxed);
-  counters.evictions.store(0, std::memory_order_relaxed);
-  counters.failures.store(0, std::memory_order_relaxed);
-  counters.queries.store(0, std::memory_order_relaxed);
-  counters.store_appends.store(0, std::memory_order_relaxed);
-  counters.drift_events.store(0, std::memory_order_relaxed);
-  counters.stale_invalidations.store(0, std::memory_order_relaxed);
-  counters.wasted_queries.store(0, std::memory_order_relaxed);
-  counters.retries.store(0, std::memory_order_relaxed);
+  for (auto counter :
+       {&StatCounters::requests, &StatCounters::point_memo_hits,
+        &StatCounters::cache_hits, &StatCounters::disk_hits,
+        &StatCounters::cache_misses, &StatCounters::evictions,
+        &StatCounters::failures, &StatCounters::queries,
+        &StatCounters::store_appends, &StatCounters::drift_events,
+        &StatCounters::stale_invalidations, &StatCounters::wasted_queries,
+        &StatCounters::retries}) {
+    (counters.*counter).store(0, std::memory_order_relaxed);
+  }
 }
 
 void EndpointSession::Bump(std::atomic<uint64_t> StatCounters::* counter,
@@ -174,11 +187,12 @@ void EndpointSession::BumpGauge(std::atomic<uint64_t> StatCounters::* gauge,
   ((*engine_stats_).*gauge).fetch_add(d, std::memory_order_relaxed);
 }
 
-size_t EndpointSession::SlotBytes(const CachedRegion& region) {
+size_t EndpointSession::SlotBytes(const CachedRegion& region) const {
+  const size_t dim = region.model.weights.rows();
   return sizeof(CachedRegion) +
-         sizeof(double) *
-             (region.model.weights.rows() * region.model.weights.cols() +
-              region.model.bias.size() + region.anchor.size());
+         sizeof(double) * (dim * region.model.weights.cols() +
+                           region.model.bias.size() + region.anchor.size()) +
+         (screen_ != nullptr ? RegionScreen::BytesPerSlot(dim) : 0);
 }
 
 size_t EndpointSession::CacheBytesLocked() const {
@@ -233,13 +247,25 @@ EndpointSession::PointKey EndpointSession::PointKeyOf(const Vec& x0) {
 }
 
 bool EndpointSession::RegionMatches(const api::LocalLinearModel& model,
-                                    const Vec& x, const Vec& y) const {
-  Vec predicted = api::EvaluateLocalModel(model, x);
-  double worst = 0.0;
-  for (size_t k = 0; k < y.size(); ++k) {
-    worst = std::max(worst, std::fabs(predicted[k] - y[k]));
-  }
-  return worst <= engine_->config().match_tol;
+                                    const Vec& x0, const Vec& y0,
+                                    const Vec& probe,
+                                    const Vec& y_probe) const {
+  const double tol = engine_->config().match_tol;
+  return ModelExplains(model, x0, y0, tol) &&
+         ModelExplains(model, probe, y_probe, tol);
+}
+
+bool EndpointSession::SlotMatchesLocked(size_t slot, const Vec& x0,
+                                        const Vec& y0, const Vec& probe,
+                                        const Vec& y_probe) const {
+  // Drift bumps invalidate the whole cache eagerly, so slots at an older
+  // epoch should never be visible here; the skip is belt-and-braces so a
+  // stale closed form cannot serve even mid-invalidation. (The epoch only
+  // moves under the writer lock, so it is constant across one scan.)
+  const CachedRegion& region = regions_[slot];
+  return region.occupied &&
+         region.epoch >= epoch_.load(std::memory_order_relaxed) &&
+         RegionMatches(region.model, x0, y0, probe, y_probe);
 }
 
 size_t EndpointSession::FindMatchingRegion(const Vec& x0, const Vec& y0,
@@ -247,104 +273,49 @@ size_t EndpointSession::FindMatchingRegion(const Vec& x0, const Vec& y0,
                                            const Vec& y_probe,
                                            size_t argmax) const {
   util::ReaderMutexLock lock(cache_mutex_);
-  // Drift bumps invalidate the whole cache eagerly, so slots at an older
-  // epoch should never be visible here; the skip is belt-and-braces so a
-  // stale closed form cannot serve even mid-invalidation.
-  const uint64_t current_epoch = epoch_.load(std::memory_order_relaxed);
-  if (index_ != nullptr) {
-    // Point location: stab the learned boxes and validate each candidate
-    // with the exact predicate. Boxes only cover what traffic has
-    // certified, so they can admit a false candidate (validation rejects
-    // it) but a validated candidate is always a hit the linear scan would
-    // also have found. The argmax(y0) forest is stabbed AND validated
-    // first: in the common case the query predicts its region's own
-    // class, so the steady-state hit never pays for the other C-1
-    // forests. Validation is exact either way, so phase order only moves
-    // work, never the outcome.
-    std::vector<size_t> candidates;
-    index_->CollectBucket(x0, argmax, &candidates);
-    for (size_t slot : candidates) {
-      if (regions_[slot].epoch < current_epoch) continue;
-      if (RegionMatches(regions_[slot].model, x0, y0) &&
-          RegionMatches(regions_[slot].model, probe, y_probe)) {
-        return slot;
-      }
-    }
-    const size_t first_phase = candidates.size();
-    index_->CollectRest(x0, argmax, &candidates);
-    for (size_t i = first_phase; i < candidates.size(); ++i) {
-      const size_t slot = candidates[i];
-      if (regions_[slot].epoch < current_epoch) continue;
-      if (RegionMatches(regions_[slot].model, x0, y0) &&
-          RegionMatches(regions_[slot].model, probe, y_probe)) {
-        return slot;
-      }
-    }
-    // No candidate survived. A learned box UNDER-covers its region until
-    // traffic teaches it, so this is not yet a miss: scan the remaining
-    // regions exactly like the reference leg (skipping the candidates
-    // already rejected above). A match found here is a first visit to an
-    // uncovered part of a cached region — the hit path then grows its
-    // box, so the next nearby request resolves in the stab above. This
-    // fallback is what makes the index decision-invisible; a true miss
-    // pays it once and then pays the extraction that dwarfs it.
-    std::sort(candidates.begin(), candidates.end());
+  if (index_ == nullptr) {
+    // The reference leg: every cached model, in slot order, unscreened.
     for (size_t slot = 0; slot < regions_.size(); ++slot) {
-      if (!regions_[slot].occupied ||
-          regions_[slot].epoch < current_epoch ||
-          std::binary_search(candidates.begin(), candidates.end(), slot)) {
-        continue;
-      }
-      if (RegionMatches(regions_[slot].model, x0, y0) &&
-          RegionMatches(regions_[slot].model, probe, y_probe)) {
-        return slot;
-      }
+      if (SlotMatchesLocked(slot, x0, y0, probe, y_probe)) return slot;
     }
     return kNoSlot;
   }
-  if (!engine_->config().bucket_candidates) {
-    for (size_t slot = 0; slot < regions_.size(); ++slot) {
-      if (!regions_[slot].occupied ||
-          regions_[slot].epoch < current_epoch) {
-        continue;
-      }
-      if (RegionMatches(regions_[slot].model, x0, y0) &&
-          RegionMatches(regions_[slot].model, probe, y_probe)) {
-        return slot;
-      }
-    }
-    return kNoSlot;
+  // Point location: stab the learned boxes and validate each candidate
+  // with the exact predicate. Boxes only cover what traffic has
+  // certified, so they can admit a false candidate (validation rejects
+  // it) but a validated candidate is always a hit the linear scan would
+  // also have found. The argmax(y0) forest is stabbed AND validated
+  // first: in the common case the query predicts its region's own
+  // class, so the steady-state hit never pays for the other C-1
+  // forests. Validation is exact either way, so phase order only moves
+  // work, never the outcome.
+  std::vector<size_t> candidates;
+  index_->CollectBucket(x0, argmax, &candidates);
+  for (size_t slot : candidates) {
+    if (SlotMatchesLocked(slot, x0, y0, probe, y_probe)) return slot;
   }
-
-  // Bucket pass: regions anchored at the same predicted class, hottest
-  // first. In the common case (the request lands in an already-seen
-  // region on its majority side) this tests ~1/C of the cache. Buckets
-  // are kept approximately hit-ordered by the move-toward-front
-  // promotion in the hit path, so no per-scan sorting happens here.
-  std::vector<char> scanned(regions_.size(), 0);
-  auto it = by_argmax_.find(argmax);
-  if (it != by_argmax_.end()) {
-    for (size_t slot : it->second) {
-      scanned[slot] = 1;
-      if (regions_[slot].epoch < current_epoch) continue;
-      if (RegionMatches(regions_[slot].model, x0, y0) &&
-          RegionMatches(regions_[slot].model, probe, y_probe)) {
-        return slot;
-      }
+  const size_t first_phase = candidates.size();
+  index_->CollectRest(x0, argmax, &candidates);
+  for (size_t i = first_phase; i < candidates.size(); ++i) {
+    if (SlotMatchesLocked(candidates[i], x0, y0, probe, y_probe)) {
+      return candidates[i];
     }
   }
-  // Fallback pass: regions filed only under other argmax keys. A cached
-  // region can span the decision boundary, so the bucket key is a
-  // heuristic; this pass keeps hit behavior identical to the linear scan.
-  for (size_t slot = 0; slot < regions_.size(); ++slot) {
-    if (scanned[slot] || !regions_[slot].occupied ||
-        regions_[slot].epoch < current_epoch) {
-      continue;
-    }
-    if (RegionMatches(regions_[slot].model, x0, y0) &&
-        RegionMatches(regions_[slot].model, probe, y_probe)) {
-      return slot;
-    }
+  // No candidate survived. A learned box UNDER-covers its region until
+  // traffic teaches it, so this is not yet a miss: every other region
+  // must still be ruled out. The log-odds screen (region_screen.h)
+  // rejects almost all of them with one packed row each and never a
+  // region the exact predicate accepts; the survivors take the exact test
+  // in ascending slot order, like the reference leg, so the first match
+  // is the one the linear scan returns. (A rejected candidate that
+  // survives the screen is simply rejected again.) A match found here is
+  // a first visit to an uncovered part of a cached region — the hit path
+  // then grows its box, so the next nearby request resolves in the stab.
+  std::vector<size_t> survivors;
+  screen_->Collect(x0, y0, engine_->config().match_tol, regions_.size(),
+                   &survivors);
+  for (size_t slot : survivors) {
+    if (SlotMatchesLocked(slot, x0, y0, probe, y_probe)) return slot;
   }
   return kNoSlot;
 }
@@ -365,14 +336,6 @@ void EndpointSession::DropRegionAuxLocked(size_t slot) const {
   BumpGauge(&StatCounters::memo_bytes,
             -static_cast<int64_t>(victim.points.size() * kMemoListEntryBytes));
   victim.points.clear();
-  for (size_t bucket_key : victim.bucket_keys) {
-    auto bucket = by_argmax_.find(bucket_key);
-    if (bucket != by_argmax_.end()) {
-      auto& slots = bucket->second;
-      slots.erase(std::remove(slots.begin(), slots.end(), slot),
-                  slots.end());
-    }
-  }
   victim.bucket_keys.clear();
   if (index_ != nullptr) index_->Remove(slot);
 }
@@ -404,7 +367,6 @@ size_t EndpointSession::EvictOneLocked(
   }
   const size_t slot = clock_hand_++;
   CachedRegion& victim = regions_[slot];
-  const uint64_t victim_fingerprint = victim.fingerprint;
   // Spill the victim's LEARNED box to the persistent tier before the
   // teardown: traffic may have grown it well past the certificate the
   // write-through persisted, and the store's Put re-appends only when
@@ -413,14 +375,10 @@ size_t EndpointSession::EvictOneLocked(
   if (store_ != nullptr && spills != nullptr && index_ != nullptr) {
     store::RegionRecord record;
     if (index_->ExportBox(slot, &record.lo, &record.hi)) {
-      record.fingerprint = victim_fingerprint;
-      // The insertion-time argmax is the front of the bucket-key list
-      // (FileBucketLocked appends, eviction clears).
-      record.argmax = victim.bucket_keys.empty()
-                          ? static_cast<uint32_t>(linalg::ArgMax(
-                                api::EvaluateLocalModel(victim.model,
-                                                        victim.anchor)))
-                          : static_cast<uint32_t>(victim.bucket_keys.front());
+      record.fingerprint = victim.fingerprint;
+      // The insertion-time argmax is the front of the forest-key list
+      // (InsertRegion always files one, eviction clears).
+      record.argmax = static_cast<uint32_t>(victim.bucket_keys.front());
       record.anchor = victim.anchor;
       record.model = victim.model;
       spills->push_back(std::move(record));
@@ -429,7 +387,7 @@ size_t EndpointSession::EvictOneLocked(
   BumpGauge(&StatCounters::region_bytes,
             -static_cast<int64_t>(SlotBytes(victim)));
   // One step removes the victim from every auxiliary structure
-  // (fingerprint map, memo, buckets, index) — there is no code path that
+  // (fingerprint map, memo, index) — there is no code path that
   // can leave one of them holding the dead slot.
   DropRegionAuxLocked(slot);
   // Release the payload: the byte gauge just gave these bytes back, so
@@ -439,10 +397,13 @@ size_t EndpointSession::EvictOneLocked(
   victim.anchor = Vec{};
   victim.occupied = false;
   victim.hits.store(0, std::memory_order_relaxed);
-  if (evicted_fingerprints_.size() > 8 * capacity_ + 64) {
-    evicted_fingerprints_.clear();  // bounded classification memory
+  // Bounded classification memory, scaled by the resident region count
+  // so a session bounded only by bytes (capacity_ == 0) remembers as far
+  // back as a count-bounded one.
+  if (evicted_fingerprints_.size() > 8 * OccupiedLocked() + 64) {
+    evicted_fingerprints_.clear();
   }
-  evicted_fingerprints_.insert(victim_fingerprint);
+  evicted_fingerprints_.insert(victim.fingerprint);
   Bump(&StatCounters::evictions);
   RefreshIndexBytesLocked();
   return slot;
@@ -476,24 +437,15 @@ void EndpointSession::FilePointLocked(const PointKey& key,
 }
 
 void EndpointSession::FileBucketLocked(size_t slot, size_t argmax) const {
-  // Membership test via the slot's own key list (one entry per filed
-  // bucket, so a handful at most): slot ∈ by_argmax_[b] iff b ∈
-  // bucket_keys — both are only ever mutated together, here and in
-  // DropRegionAuxLocked. Scanning the bucket vector instead would be
-  // O(n/C) per fill, quadratic across a large import.
   std::vector<size_t>& keys = regions_[slot].bucket_keys;
-  if (std::find(keys.begin(), keys.end(), argmax) == keys.end()) {
-    by_argmax_[argmax].push_back(slot);
-    keys.push_back(argmax);
-    if (index_ != nullptr && index_->contains(slot)) {
-      index_->File(slot, argmax);
-    }
-  }
+  if (std::find(keys.begin(), keys.end(), argmax) != keys.end()) return;
+  keys.push_back(argmax);
+  if (index_ != nullptr && index_->contains(slot)) index_->File(slot, argmax);
 }
 
 size_t EndpointSession::InsertRegion(
     api::LocalLinearModel model, uint64_t fingerprint, const Vec& anchor,
-    const Vec& memo_point, size_t argmax, const Vec& lo, const Vec& hi,
+    const Vec& memo_point, const Vec& y_memo, const Vec& lo, const Vec& hi,
     CacheOutcome* outcome, std::vector<store::RegionRecord>* spills) const {
   util::WriterMutexLock lock(cache_mutex_);
   size_t slot;
@@ -504,8 +456,9 @@ size_t EndpointSession::InsertRegion(
       index_->Expand(slot, lo, hi);  // union of both certificates
     }
   } else {
-    CachedRegion incoming(std::move(model), fingerprint, anchor);
-    incoming.epoch = epoch_.load(std::memory_order_relaxed);
+    CachedRegion incoming{.model = std::move(model),
+                          .fingerprint = fingerprint, .anchor = anchor,
+                          .epoch = epoch_.load(std::memory_order_relaxed)};
     const size_t incoming_bytes = SlotBytes(incoming);
     if (byte_budget_ > 0 &&
         incoming_bytes + kMemoMapEntryBytes + kMemoListEntryBytes >
@@ -528,12 +481,15 @@ size_t EndpointSession::InsertRegion(
     by_fingerprint_.emplace(fingerprint, slot);
     BumpGauge(&StatCounters::region_bytes,
               static_cast<int64_t>(SlotBytes(regions_[slot])));
-    if (index_ != nullptr) index_->Insert(slot, lo, hi);
+    if (index_ != nullptr) {
+      index_->Insert(slot, lo, hi);
+      screen_->Set(slot, regions_[slot].model, y_memo);
+    }
     if (evicted_fingerprints_.erase(fingerprint) > 0 && outcome != nullptr) {
       *outcome = CacheOutcome::kEvictedRefetch;
     }
   }
-  FileBucketLocked(slot, argmax);
+  FileBucketLocked(slot, linalg::ArgMax(y_memo));
   FilePointLocked(PointKeyOf(memo_point), slot);
   RefreshIndexBytesLocked();
   EnforceByteBudgetLocked(slot, spills);
@@ -544,24 +500,44 @@ size_t EndpointSession::InsertRegion(
   return slot;
 }
 
-void EndpointSession::WriteThrough(const api::LocalLinearModel& model,
-                                   uint64_t fingerprint, const Vec& anchor,
-                                   size_t argmax, const Vec& lo,
-                                   const Vec& hi) const {
-  if (store_ == nullptr) return;
+size_t EndpointSession::AdmitRegion(api::LocalLinearModel model,
+                                    const Vec& anchor, const Vec& y_anchor,
+                                    double edge_length,
+                                    CacheOutcome* outcome) const {
+  const uint64_t fingerprint =
+      LocalModelFingerprint(model, engine_->config().fingerprint_resolution);
+  // The certified hypercube {x : |x_j - anchor_j| <= edge_length} seeds
+  // the learned box, in RAM and (write-through, before the model is moved
+  // away) on the region log.
   store::RegionRecord record;
   record.fingerprint = fingerprint;
-  record.argmax = static_cast<uint32_t>(argmax);
+  record.argmax = static_cast<uint32_t>(linalg::ArgMax(y_anchor));
   record.anchor = anchor;
-  record.lo = lo;
-  record.hi = hi;
-  record.model = model;
+  record.lo = anchor;
+  record.hi = anchor;
+  for (size_t j = 0; j < anchor.size(); ++j) {
+    record.lo[j] -= edge_length;
+    record.hi[j] += edge_length;
+  }
+  if (store_ != nullptr) {
+    record.model = model;
+    PutToStore(record);
+  }
+  std::vector<store::RegionRecord> spills;
+  const size_t slot =
+      InsertRegion(std::move(model), fingerprint, anchor, anchor, y_anchor,
+                   record.lo, record.hi, outcome, &spills);
+  PersistSpills(&spills);
+  return slot;
+}
+
+void EndpointSession::PutToStore(const store::RegionRecord& record) const {
   Result<bool> appended = store_->Put(record);
   if (!appended.ok()) {
     // Persistence is best-effort from the serving path's point of view:
     // a full disk degrades the session to RAM-only, it does not fail
     // requests.
-    OPENAPI_LOG(Warning) << "region write-through failed: "
+    OPENAPI_LOG(Warning) << "region log append failed: "
                          << appended.status().message();
   } else if (*appended) {
     Bump(&StatCounters::store_appends);
@@ -571,25 +547,17 @@ void EndpointSession::WriteThrough(const api::LocalLinearModel& model,
 void EndpointSession::PersistSpills(
     std::vector<store::RegionRecord>* spills) const {
   if (store_ != nullptr) {
-    for (const store::RegionRecord& record : *spills) {
-      Result<bool> appended = store_->Put(record);
-      if (!appended.ok()) {
-        OPENAPI_LOG(Warning) << "eviction spill persist failed: "
-                             << appended.status().message();
-      } else if (*appended) {
-        Bump(&StatCounters::store_appends);
-      }
-    }
+    for (const store::RegionRecord& record : *spills) PutToStore(record);
   }
   spills->clear();
 }
 
 bool EndpointSession::ReloadFromStore(
     const Vec& x0, const Vec& y0, const Vec& probe, const Vec& y_probe,
-    size_t argmax, api::LocalLinearModel* reloaded,
+    api::LocalLinearModel* reloaded,
     std::vector<store::RegionRecord>* spills) const {
   std::vector<uint64_t> offsets;
-  store_->CollectCandidates(x0, argmax, &offsets);
+  store_->CollectCandidates(x0, linalg::ArgMax(y0), &offsets);
   for (uint64_t offset : offsets) {
     Result<store::RegionRecord> record = store_->Read(offset);
     if (!record.ok()) {
@@ -600,16 +568,13 @@ bool EndpointSession::ReloadFromStore(
     // Same exact predicate as a RAM candidate, against the 2-query pair
     // the request already bought: a stale, corrupt, or merely
     // box-overlapping record is rejected here, never served.
-    if (!RegionMatches(record->model, x0, y0) ||
-        !RegionMatches(record->model, probe, y_probe)) {
-      continue;
-    }
+    if (!RegionMatches(record->model, x0, y0, probe, y_probe)) continue;
     // The record's fingerprint was computed from these exact bits by the
     // session that persisted it (the log round-trips raw doubles), so a
     // later re-extraction of the same region deduplicates against this
     // slot.
     InsertRegion(api::LocalLinearModel(record->model), record->fingerprint,
-                 record->anchor, x0, argmax, record->lo, record->hi,
+                 record->anchor, x0, y0, record->lo, record->hi,
                  /*outcome=*/nullptr, spills);
     *reloaded = std::move(record->model);
     return true;
@@ -631,24 +596,9 @@ Result<size_t> EndpointSession::ImportRegion(api::LocalLinearModel model,
     return Status::InvalidArgument(
         "imported model/anchor shape does not match the endpoint");
   }
-  const Vec y0 = api::EvaluateLocalModel(model, anchor);
-  const size_t argmax = linalg::ArgMax(y0);
-  const uint64_t fingerprint =
-      LocalModelFingerprint(model, engine_->config().fingerprint_resolution);
-  // The certified hypercube {x : |x_j - anchor_j| <= edge_length} seeds
-  // the learned box, in RAM and (write-through) on the log.
-  Vec lo = anchor;
-  Vec hi = anchor;
-  for (size_t j = 0; j < lo.size(); ++j) {
-    lo[j] -= edge_length;
-    hi[j] += edge_length;
-  }
-  WriteThrough(model, fingerprint, anchor, argmax, lo, hi);
-  std::vector<store::RegionRecord> spills;
-  const size_t slot =
-      InsertRegion(std::move(model), fingerprint, anchor, anchor, argmax, lo,
-                   hi, /*outcome=*/nullptr, &spills);
-  PersistSpills(&spills);
+  const Vec y_anchor = api::EvaluateLocalModel(model, anchor);
+  const size_t slot = AdmitRegion(std::move(model), anchor, y_anchor,
+                                  edge_length, /*outcome=*/nullptr);
   if (slot == kNoSlot) {
     return Status::FailedPrecondition(
         "region does not fit the session's cache byte budget");
@@ -688,13 +638,8 @@ Result<Interpretation> EndpointSession::InterpretCached(
         region.hits.fetch_add(1, std::memory_order_relaxed);
         Bump(&StatCounters::point_memo_hits);
         *outcome = CacheOutcome::kPointMemo;
-        Interpretation out;
-        out.dc = api::GroundTruthDecisionFeatures(region.model, c);
-        out.pairs = PairsFromModel(region.model, c);
-        out.iterations = 0;
-        out.edge_length = 0.0;
-        out.queries = 0;
-        return out;
+        return FromCachedModel(region.model, c, /*probe=*/nullptr,
+                               /*queries=*/0, config.validation_edge);
       }
     }
   }
@@ -734,18 +679,11 @@ Result<Interpretation> EndpointSession::InterpretCached(
   //     old epoch is invalidated and this request re-extracts fresh.
   bool drift_refetch = false;
   if (drift_check_model.has_value()) {
-    if (RegionMatches(*drift_check_model, x0, y0) &&
-        RegionMatches(*drift_check_model, probe, y_probe)) {
+    if (RegionMatches(*drift_check_model, x0, y0, probe, y_probe)) {
       Bump(&StatCounters::point_memo_hits);
       *outcome = CacheOutcome::kPointMemo;
-      Interpretation out;
-      out.dc = api::GroundTruthDecisionFeatures(*drift_check_model, c);
-      out.pairs = PairsFromModel(*drift_check_model, c);
-      out.iterations = 0;
-      out.edge_length = config.validation_edge;
-      out.probes.push_back(std::move(probe));
-      out.queries = 2;
-      return out;
+      return FromCachedModel(*drift_check_model, c, &probe, /*queries=*/2,
+                             config.validation_edge);
     }
     Bump(&StatCounters::drift_events);
     InvalidateStaleRegions();
@@ -770,49 +708,25 @@ Result<Interpretation> EndpointSession::InterpretCached(
         model = regions_[slot].model;
       }
     }
-    if (model.has_value() && RegionMatches(*model, x0, y0) &&
-        RegionMatches(*model, probe, y_probe)) {
+    if (model.has_value() &&
+        RegionMatches(*model, x0, y0, probe, y_probe)) {
       {
-        // Memoize the point, and file the slot under this argmax too when
-        // the fallback pass found it in another bucket (region spanning
-        // the decision boundary), so the next same-side request hits the
-        // bucket pass. The fingerprint check keeps a refilled slot from
+        // Memoize the point, grow the learned box to cover x0 (so the next
+        // nearby request resolves in the index stab instead of the
+        // fallback scan), and file the slot under this argmax's forest too
+        // when it was found under another (a region spanning the decision
+        // boundary). The fingerprint check keeps a refilled slot from
         // poisoning the memo.
         util::WriterMutexLock lock(cache_mutex_);
         if (slot < regions_.size() &&
             regions_[slot].fingerprint == fingerprint) {
           FilePointLocked(key, slot);
           regions_[slot].hits.fetch_add(1, std::memory_order_relaxed);
-          if (index_ != nullptr) {
-            if (index_->contains(slot)) {
-              // A validated hit teaches the learned box: grow it to
-              // cover x0 so the next nearby request resolves in the
-              // index stab instead of the fallback scan.
-              index_->Expand(slot, x0);
-            }
-            // Buckets are not a scan structure when the index is on, so
-            // the O(bucket) transpose promotion below would be pure
-            // overhead (at 10^6 regions it would dominate the lookup).
-            // Membership comes from the slot's own short key list; a
-            // boundary-spanning region still gets filed under the new
-            // argmax (which also files its index forest).
-            const std::vector<size_t>& keys = regions_[slot].bucket_keys;
-            if (std::find(keys.begin(), keys.end(), argmax) == keys.end()) {
-              FileBucketLocked(slot, argmax);
-            }
-          } else {
-            std::vector<size_t>& bucket = by_argmax_[argmax];
-            auto pos = std::find(bucket.begin(), bucket.end(), slot);
-            if (pos == bucket.end()) {
-              FileBucketLocked(slot, argmax);
-            } else if (pos != bucket.begin()) {
-              // Transpose promotion: each hit moves the region one step
-              // toward the front of its bucket, so hot regions drift to
-              // the head without any per-scan sorting.
-              std::iter_swap(pos, pos - 1);
-            }
+          if (index_ != nullptr && index_->contains(slot)) {
+            index_->Expand(slot, x0);
           }
-          // The memo (and possibly the box/bucket filings) grew: keep
+          FileBucketLocked(slot, argmax);
+          // The memo (and possibly the box/forest filings) grew: keep
           // the byte ceiling while protecting the slot just served.
           RefreshIndexBytesLocked();
           EnforceByteBudgetLocked(slot, &spills);
@@ -821,14 +735,8 @@ Result<Interpretation> EndpointSession::InterpretCached(
       PersistSpills(&spills);
       Bump(&StatCounters::cache_hits);
       *outcome = CacheOutcome::kMemoryHit;
-      Interpretation out;
-      out.dc = api::GroundTruthDecisionFeatures(*model, c);
-      out.pairs = PairsFromModel(*model, c);
-      out.iterations = 0;
-      out.edge_length = config.validation_edge;
-      out.probes.push_back(std::move(probe));
-      out.queries = 2;
-      return out;
+      return FromCachedModel(*model, c, &probe, /*queries=*/2,
+                             config.validation_edge);
     }
     // The slot vanished under us: treat the request as a miss below.
   }
@@ -841,21 +749,13 @@ Result<Interpretation> EndpointSession::InterpretCached(
   //     saves the entire extraction.
   if (store_ != nullptr && !options.bypass_disk_tier) {
     api::LocalLinearModel reloaded;
-    if (ReloadFromStore(x0, y0, probe, y_probe, argmax, &reloaded,
-                        &spills)) {
+    if (ReloadFromStore(x0, y0, probe, y_probe, &reloaded, &spills)) {
       PersistSpills(&spills);
       Bump(&StatCounters::disk_hits);
       *outcome = CacheOutcome::kDiskHit;
-      Interpretation out;
-      out.dc = api::GroundTruthDecisionFeatures(reloaded, c);
-      out.pairs = PairsFromModel(reloaded, c);
-      out.iterations = 0;
-      out.edge_length = config.validation_edge;
-      out.probes.push_back(std::move(probe));
-      out.queries = 2;
-      return out;
+      return FromCachedModel(reloaded, c, &probe, /*queries=*/2,
+                             config.validation_edge);
     }
-    PersistSpills(&spills);
   }
 
   // 3. Miss: full closed-form extraction with reference class 0, which
@@ -887,8 +787,6 @@ Result<Interpretation> EndpointSession::InterpretCached(
   }
   api::LocalLinearModel model =
       CanonicalModelFromPairs(solved->pairs, api_->dim());
-  const uint64_t fingerprint =
-      LocalModelFingerprint(model, config.fingerprint_resolution);
   Interpretation out;
   out.dc = api::GroundTruthDecisionFeatures(model, c);
   out.pairs = PairsFromModel(model, c);
@@ -897,22 +795,12 @@ Result<Interpretation> EndpointSession::InterpretCached(
   out.edge_length = solved->edge_length;
   out.queries = *consumed;
   // The solver certified the model on probes drawn from the final
-  // consistent hypercube [x0 - edge, x0 + edge] per dimension — the
-  // region's learned box starts as exactly that certificate, in RAM and
-  // (write-through, before the model is moved away) on the region log.
-  Vec lo = x0;
-  Vec hi = x0;
-  for (size_t j = 0; j < lo.size(); ++j) {
-    lo[j] -= solved->edge_length;
-    hi[j] += solved->edge_length;
-  }
-  WriteThrough(model, fingerprint, x0, argmax, lo, hi);
-  // A drift refetch keeps its kStaleRefetch classification: the
-  // invalidation cleared the eviction history anyway, and an eviction
+  // consistent hypercube around x0, so the region is admitted with that
+  // certificate. A drift refetch keeps its kStaleRefetch classification:
+  // the invalidation cleared the eviction history anyway, and an eviction
   // refetch label would hide the drift event from the caller.
-  InsertRegion(std::move(model), fingerprint, x0, x0, argmax, lo, hi,
-               drift_refetch ? nullptr : outcome, &spills);
-  PersistSpills(&spills);
+  AdmitRegion(std::move(model), x0, y0, solved->edge_length,
+              drift_refetch ? nullptr : outcome);
   return out;
 }
 
@@ -1090,20 +978,20 @@ void EndpointSession::InvalidateStaleRegions() const {
 void EndpointSession::ClearCacheLocked() const {
   regions_.clear();
   by_fingerprint_.clear();
-  by_argmax_.clear();
   point_memo_.clear();
   evicted_fingerprints_.clear();
   clock_hand_ = 0;
   free_slots_.clear();
-  if (index_ != nullptr) index_->Clear();
+  if (index_ != nullptr) {
+    index_->Clear();
+    screen_->Clear();
+  }
   // Gauges follow the residency to zero (balanced deltas keep the
   // engine aggregate consistent across the session's lifetime).
-  BumpGauge(&StatCounters::region_bytes,
-            -static_cast<int64_t>(
-                stats_.region_bytes.load(std::memory_order_relaxed)));
-  BumpGauge(&StatCounters::memo_bytes,
-            -static_cast<int64_t>(
-                stats_.memo_bytes.load(std::memory_order_relaxed)));
+  for (auto gauge : {&StatCounters::region_bytes, &StatCounters::memo_bytes}) {
+    BumpGauge(gauge, -static_cast<int64_t>(
+                         (stats_.*gauge).load(std::memory_order_relaxed)));
+  }
   RefreshIndexBytesLocked();
   CheckAuxCoherenceLocked();
 }

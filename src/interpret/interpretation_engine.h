@@ -12,7 +12,7 @@
 //
 // The unit of serving is an ENDPOINT SESSION. `engine.OpenSession(api)`
 // binds one `api::PredictionApi` (or `api::ApiReplicaSet`) and namespaces
-// the region cache, point memo, and argmax buckets to that endpoint: one
+// the region cache, point memo, and region index to that endpoint: one
 // engine serves several distinct endpoints concurrently with zero
 // cross-endpoint cache traffic and no ClearCache footgun. A session
 // offers four request shapes:
@@ -50,8 +50,8 @@
 // gauges EngineStats reports. Inserts past either bound evict via a
 // second-chance clock over per-region hit counters (hot regions survive,
 // cold ones cycle out; evictions surface in EngineStats). Evicting a
-// region also drops its point-memo keys and bucket entries, so a stale
-// memo can never serve a dead slot.
+// region also drops its point-memo keys and index entry, so a stale memo
+// can never serve a dead slot.
 //
 // ## The persistent tier (store::RegionStore)
 //
@@ -86,23 +86,17 @@
 //     exact x0 was answered before costs ZERO API queries, any class;
 //   * a fingerprint index (quantized canonical-model hash -> slot) that
 //     deduplicates regions extracted concurrently by different workers;
-//   * argmax buckets: candidate regions are grouped by the class they
-//     predict at their anchor, so a request at a new x0 first tests the
-//     bucket matching argmax(y0) — hottest regions first (each hit
-//     promotes its region one step toward the bucket head, the classic
-//     transpose heuristic) — and only falls back to the remaining regions
-//     when the bucket misses (a region can span the decision boundary, so
-//     the bucket key is a pruning heuristic, never a correctness filter);
 //   * the REGION INDEX (region_index.h, EngineConfig::use_region_index,
 //     default on): hierarchical point location over learned per-region
-//     bounding boxes, the argmax partition as its top level. At
-//     production cache sizes (10^5-10^6 regions) the bucketed scan above
-//     still evaluates every cached model; the index stabs the boxes in
-//     O(log n)-ish time, validates the few candidates exactly, and only
-//     when none survives falls back to the full scan (then GROWS the
-//     matched region's box, so repeat traffic stays logarithmic). The
-//     index is decision-invisible: identical hit/miss outcomes and query
-//     counts as the scan legs on every request.
+//     bounding boxes in per-argmax forests. At production cache sizes
+//     (10^5-10^6 regions) a scan evaluates every cached model; the index
+//     stabs the boxes in O(log n)-ish time, validates the few candidates
+//     exactly, and only when none survives falls back to a SCREENED scan
+//     (region_screen.h: one packed log-odds row per region rejects almost
+//     every region before the exact test), then GROWS the matched
+//     region's box, so repeat traffic stays logarithmic. The index is
+//     decision-invisible: identical hit/miss outcomes and query counts as
+//     the linear scan leg on every request.
 // A request at a new x0 still validates cache candidates against the API
 // output (2 batched queries) — black-box point location fundamentally
 // needs the candidate test — but candidates are scanned under a shared
@@ -149,6 +143,7 @@
 
 #include "interpret/openapi_method.h"
 #include "interpret/region_index.h"
+#include "interpret/region_screen.h"
 #include "interpret/request_options.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -191,20 +186,16 @@ struct EngineConfig {
   /// session is a plain concurrent fan-out of OpenApiInterpreter (useful
   /// as the uncached baseline in benches).
   bool use_region_cache = true;
-  /// Prune the candidate scan with argmax buckets + hit-frequency
-  /// ordering. Off = the plain linear scan (bench baseline). Hit/miss
-  /// behavior is identical either way. Consulted only when
-  /// use_region_index is off — the index supersedes the bucket scan.
-  bool bucket_candidates = true;
   /// Answer the candidate scan by hierarchical point location
   /// (region_index.h): stab the learned per-region bounding boxes in
   /// O(log n)-ish time, validate the few candidates exactly, and fall
-  /// back to the full scan only when no candidate survives (first visit
-  /// to an uncovered part of a region; the validated hit then grows the
-  /// region's box, so repeat traffic stays logarithmic). Off preserves
-  /// the linear/bucketed scan as the reference leg. DECISION-INVISIBLE:
-  /// hit/miss outcomes and consumed query counts are identical either
-  /// way on every request (the parity fuzz tests assert it).
+  /// back to the log-odds-screened full scan (region_screen.h) only when
+  /// no candidate survives (first visit to an uncovered part of a region,
+  /// or a true miss; a validated hit then grows the region's box, so
+  /// repeat traffic stays logarithmic). Off preserves the unscreened
+  /// linear scan as the reference leg. DECISION-INVISIBLE: hit/miss
+  /// outcomes and consumed query counts are identical either way on every
+  /// request (the parity fuzz tests assert it).
   bool use_region_index = true;
   /// Default region capacity of each session's cache; 0 = unbounded.
   /// OpenSession can override per session. At capacity, inserts evict
@@ -367,8 +358,8 @@ struct SessionOptions {
   store::RegionStore* store = nullptr;
 };
 
-/// One endpoint's serving context: a region cache + point memo + argmax
-/// buckets namespaced to a single PredictionApi, with a bounded capacity.
+/// One endpoint's serving context: a region cache + point memo + region
+/// index namespaced to a single PredictionApi, with a bounded capacity.
 /// Obtained from InterpretationEngine::OpenSession; always held by
 /// shared_ptr (async work keeps the session alive until it completes).
 /// All methods are const and safe to call concurrently.
@@ -441,7 +432,7 @@ class EndpointSession
   /// This session's own counters (the engine aggregates all sessions).
   EngineStats stats() const;
   void ResetStats() const;
-  /// Drops this session's cached regions, point memo, argmax buckets,
+  /// Drops this session's cached regions, point memo, region index,
   /// and eviction bookkeeping. Safe to race with in-flight requests:
   /// they re-extract as needed.
   void ClearCache() const EXCLUDES(cache_mutex_);
@@ -455,6 +446,18 @@ class EndpointSession
   friend class InterpretationEngine;
 
   using PointKey = std::pair<uint64_t, uint64_t>;
+
+  /// An atomic hit counter that moves (relaxed) with its slot, so
+  /// CachedRegion keeps its defaulted moves.
+  struct HitCounter : std::atomic<uint32_t> {
+    HitCounter() : std::atomic<uint32_t>(0) {}
+    HitCounter(HitCounter&& other) noexcept
+        : std::atomic<uint32_t>(other.load(std::memory_order_relaxed)) {}
+    HitCounter& operator=(HitCounter&& other) noexcept {
+      store(other.load(std::memory_order_relaxed), std::memory_order_relaxed);
+      return *this;
+    }
+  };
 
   struct CachedRegion {
     api::LocalLinearModel model;
@@ -471,43 +474,18 @@ class EndpointSession
     /// Hit counter feeding the second-chance eviction clock: bumped on
     /// every memo/scan hit, halved each time the clock passes. Atomic so
     /// hits under the shared (reader) lock need no writer upgrade.
-    std::atomic<uint32_t> hits{0};
+    HitCounter hits{};
     /// Point-memo keys filed under this slot (bounded FIFO), removed
     /// from the memo when the region is evicted.
-    std::vector<PointKey> points;
-    /// Argmax bucket keys this slot is filed under.
-    std::vector<size_t> bucket_keys;
+    std::vector<PointKey> points{};
+    /// Argmax classes this slot is filed under in the index forests; the
+    /// front is its insertion-time argmax (the eviction spill's).
+    std::vector<size_t> bucket_keys{};
     /// Drift epoch this region was extracted/validated at. Regions from
     /// an older epoch are invalidated eagerly on a drift bump; the scan
     /// paths also skip them defensively, so a stale closed form can never
     /// serve even mid-invalidation.
     uint64_t epoch = 0;
-
-    CachedRegion(api::LocalLinearModel m, uint64_t fp, Vec anchor_point)
-        : model(std::move(m)),
-          fingerprint(fp),
-          anchor(std::move(anchor_point)) {}
-    CachedRegion(CachedRegion&& other) noexcept
-        : model(std::move(other.model)),
-          fingerprint(other.fingerprint),
-          anchor(std::move(other.anchor)),
-          occupied(other.occupied),
-          hits(other.hits.load(std::memory_order_relaxed)),
-          points(std::move(other.points)),
-          bucket_keys(std::move(other.bucket_keys)),
-          epoch(other.epoch) {}
-    CachedRegion& operator=(CachedRegion&& other) noexcept {
-      model = std::move(other.model);
-      fingerprint = other.fingerprint;
-      anchor = std::move(other.anchor);
-      occupied = other.occupied;
-      hits.store(other.hits.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-      points = std::move(other.points);
-      bucket_keys = std::move(other.bucket_keys);
-      epoch = other.epoch;
-      return *this;
-    }
   };
 
   struct PairHash {
@@ -563,9 +541,9 @@ class EndpointSession
                  int64_t delta) const REQUIRES(cache_mutex_);
 
   /// Resident bytes one cached region pins: the slot struct + its model
-  /// payload + its anchor (memo keys and index boxes are accounted by
-  /// their own gauges).
-  static size_t SlotBytes(const CachedRegion& region);
+  /// payload + its anchor + its screen row when the index is on (memo
+  /// keys and index boxes are accounted by their own gauges).
+  size_t SlotBytes(const CachedRegion& region) const;
 
   /// Sum of the three byte gauges — the value the byte budget bounds.
   size_t CacheBytesLocked() const REQUIRES(cache_mutex_);
@@ -599,23 +577,24 @@ class EndpointSession
 
   /// Returns the slot whose model explains (x0, y0) and (probe, y_probe),
   /// or SIZE_MAX. Takes the shared (reader) lock itself. `argmax` is the
-  /// predicted class at x0 (from y0) selecting the bucket (or index
-  /// forest) scanned first. With use_region_index on, candidates come
-  /// from the index's stabbing query and the full scan runs only when
-  /// none of them validates — the decision (and therefore every
-  /// downstream query count) is identical to the scan legs.
+  /// predicted class at x0 (from y0) selecting the index forest stabbed
+  /// first. With use_region_index on, candidates come from the index's
+  /// stabbing query and the screened full scan runs only when none of
+  /// them validates — the decision (and therefore every downstream query
+  /// count) is identical to the linear scan leg.
   size_t FindMatchingRegion(const Vec& x0, const Vec& y0, const Vec& probe,
                             const Vec& y_probe, size_t argmax) const
       EXCLUDES(cache_mutex_);
 
   /// Inserts `model` (deduplicating by fingerprint; evicting at count
-  /// capacity or byte budget), memoizes memo_point -> slot, files the
-  /// slot under bucket `argmax`, and files the slot into the region
-  /// index with initial box [lo, hi] (a fingerprint-deduplicated
-  /// re-insert unions its box into the existing one instead). `anchor`
-  /// is the point the region is certified to contain — equal to
-  /// memo_point on extraction/import, the persisted anchor on a disk
-  /// reload. Exclusive (writer) lock. Flips *outcome to kEvictedRefetch
+  /// capacity or byte budget), memoizes memo_point -> slot, and files the
+  /// slot into the region index with initial box [lo, hi] under the
+  /// forest of argmax(y_memo) (a fingerprint-deduplicated re-insert
+  /// unions its box into the existing one instead). `y_memo` is the
+  /// prediction at memo_point; a new region's screen row is paired on its
+  /// top two classes. `anchor` is the point the region is certified to
+  /// contain — equal to memo_point on extraction/import, the persisted
+  /// anchor on a disk reload. Exclusive (writer) lock. Flips *outcome to kEvictedRefetch
   /// when the fingerprint matches a region this session evicted earlier.
   /// Eviction spill records are appended to *spills for the caller to
   /// persist AFTER the lock is released (the store has its own mutex; no
@@ -623,7 +602,7 @@ class EndpointSession
   /// (it alone exceeds the byte budget).
   size_t InsertRegion(api::LocalLinearModel model, uint64_t fingerprint,
                       const Vec& anchor, const Vec& memo_point,
-                      size_t argmax, const Vec& lo, const Vec& hi,
+                      const Vec& y_memo, const Vec& lo, const Vec& hi,
                       CacheOutcome* outcome,
                       std::vector<store::RegionRecord>* spills) const
       EXCLUDES(cache_mutex_);
@@ -637,17 +616,24 @@ class EndpointSession
   /// cached, the request is still served from it. False when nothing on
   /// disk explains the pair.
   bool ReloadFromStore(const Vec& x0, const Vec& y0, const Vec& probe,
-                       const Vec& y_probe, size_t argmax,
-                       api::LocalLinearModel* reloaded,
+                       const Vec& y_probe, api::LocalLinearModel* reloaded,
                        std::vector<store::RegionRecord>* spills) const
       EXCLUDES(cache_mutex_);
 
-  /// Write-through: persists one region (by value parts) to the attached
-  /// store, bumping store_appends when bytes were actually appended.
-  /// No-op without a store. Never called with the cache lock held.
-  void WriteThrough(const api::LocalLinearModel& model, uint64_t fingerprint,
-                    const Vec& anchor, size_t argmax, const Vec& lo,
-                    const Vec& hi) const EXCLUDES(cache_mutex_);
+  /// Admits a region certified over {x : |x_j - anchor_j| <= edge_length}
+  /// (an extraction or an import): fingerprints it, writes it through to
+  /// the attached store, then inserts it (InsertRegion with memo_point =
+  /// anchor and y_memo = y_anchor, the prediction at the anchor) and
+  /// persists any eviction spills. Returns InsertRegion's slot.
+  size_t AdmitRegion(api::LocalLinearModel model, const Vec& anchor,
+                     const Vec& y_anchor, double edge_length,
+                     CacheOutcome* outcome) const EXCLUDES(cache_mutex_);
+
+  /// Appends one record to the attached store, bumping store_appends when
+  /// bytes were actually appended; a failed append only logs. Never
+  /// called with the cache lock held.
+  void PutToStore(const store::RegionRecord& record) const
+      EXCLUDES(cache_mutex_);
 
   /// Persists the eviction spill records collected under the writer lock
   /// (grown learned boxes going back to the log), then clears the vector.
@@ -665,7 +651,7 @@ class EndpointSession
       REQUIRES(cache_mutex_);
 
   /// Removes one region from EVERY auxiliary structure — fingerprint
-  /// map, point-memo keys, argmax buckets, region index — as one step,
+  /// map, point-memo keys, region index — as one step,
   /// so no mutation path can leave a structure holding a dead slot.
   /// Requires the writer lock; the slot itself stays allocated for the
   /// caller to refill.
@@ -682,12 +668,21 @@ class EndpointSession
   void FilePointLocked(const PointKey& key, size_t slot) const
       REQUIRES(cache_mutex_);
 
-  /// Files `slot` under bucket `argmax` (once). Requires the writer lock.
+  /// Files `slot` under index forest `argmax` (once). Requires the
+  /// writer lock.
   void FileBucketLocked(size_t slot, size_t argmax) const
       REQUIRES(cache_mutex_);
 
-  bool RegionMatches(const api::LocalLinearModel& model, const Vec& x,
-                     const Vec& y) const;
+  /// The exact 2-point predicate: `model` explains both (x0, y0) and
+  /// (probe, y_probe) within match_tol.
+  bool RegionMatches(const api::LocalLinearModel& model, const Vec& x0,
+                     const Vec& y0, const Vec& probe,
+                     const Vec& y_probe) const;
+
+  /// RegionMatches for a cache slot that is occupied and current-epoch.
+  bool SlotMatchesLocked(size_t slot, const Vec& x0, const Vec& y0,
+                         const Vec& probe, const Vec& y_probe) const
+      REQUIRES_SHARED(cache_mutex_);
 
   /// ClearCache's body, for callers already holding the writer lock.
   /// Also clears evicted_fingerprints_ — after an invalidation, a
@@ -724,9 +719,6 @@ class EndpointSession
   mutable std::vector<CachedRegion> regions_ GUARDED_BY(cache_mutex_);
   mutable std::unordered_map<uint64_t, size_t> by_fingerprint_
       GUARDED_BY(cache_mutex_);
-  /// argmax class at the region's anchor -> slots, scan order by hits.
-  mutable std::unordered_map<size_t, std::vector<size_t>> by_argmax_
-      GUARDED_BY(cache_mutex_);
   mutable std::unordered_map<PointKey, size_t, PairHash> point_memo_
       GUARDED_BY(cache_mutex_);
   /// Fingerprints of evicted regions, kept (bounded) to classify their
@@ -746,6 +738,9 @@ class EndpointSession
   /// pointer itself is set once in the constructor and never reseated,
   /// so the `index_ != nullptr` checks read it lock-free.
   mutable std::unique_ptr<RegionIndex> index_ PT_GUARDED_BY(cache_mutex_);
+  /// Log-odds rows screening the index's fallback scan, one per slot;
+  /// non-null exactly when index_ is, same locking contract.
+  mutable std::unique_ptr<RegionScreen> screen_ PT_GUARDED_BY(cache_mutex_);
 
   /// Current drift epoch; newly inserted regions are tagged with it.
   /// Atomic so the hot read (scan skip checks) stays under the reader

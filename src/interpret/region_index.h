@@ -6,12 +6,12 @@
 //
 // A production audit of one endpoint accumulates 10^5-10^6 cached
 // regions. EndpointSession answers "which cached region explains the API
-// output at x0" — and its candidate scan (argmax buckets + linear
-// fallback) evaluates every cached model, so lookup cost grows linearly
-// with the cache. This index answers the same question by point location:
-// each cached region carries an axis-aligned bounding box of the inputs
-// it is KNOWN to cover, and a stabbing query over those boxes returns the
-// few regions whose box contains x0.
+// output at x0" — and a linear candidate scan evaluates every cached
+// model, so lookup cost grows linearly with the cache. This index
+// answers the same question by point location: each cached region
+// carries an axis-aligned bounding box of the inputs it is KNOWN to
+// cover, and a stabbing query over those boxes returns the few regions
+// whose box contains x0.
 //
 // ## Why boxes are learned, not exact
 //
@@ -25,17 +25,20 @@
 // time a point outside it validates against the region. Boxes
 // under-cover their polytope until traffic teaches them, and may overlap
 // or over-cover after unions — neither affects correctness, because the
-// caller validates every candidate with the exact match predicate and
-// falls back to the full scan when no candidate survives. The index
-// prunes; it never decides. That is what keeps it DECISION-INVISIBLE:
-// hit/miss outcomes and consumed query counts are bit-identical to the
-// linear reference scan on every request (asserted by the parity fuzz
-// tests), while repeat traffic — the reason a cache ever reaches 10^6
-// regions — stabs in logarithmic time.
+// caller validates every candidate with the exact match predicate and,
+// when no candidate survives, falls back to a SCREENED scan of the rest:
+// a packed log-odds row per region (region_screen.h) rejects, with one
+// dot product, every region that cannot explain (x0, y0) — never one the
+// exact predicate would accept — and only the survivors, in slot order,
+// take the exact test. The index prunes; it never decides. That is what
+// keeps it DECISION-INVISIBLE: hit/miss outcomes and consumed query
+// counts are bit-identical to the linear reference scan on every request
+// (asserted by the parity fuzz tests), while repeat traffic — the reason
+// a cache ever reaches 10^6 regions — stabs in logarithmic time.
 //
 // ## Structure
 //
-// Top level: the session's existing argmax-class partition. Regions are
+// Top level: an argmax-class partition. Regions are
 // filed under the class(es) they predict at their anchor, one FOREST per
 // class; a query stabs the forest matching argmax(y0) first — the bucket
 // that almost always holds the answer — then the remaining forests (the
@@ -164,8 +167,8 @@ class RegionIndex {
   /// forest filed under `first_bucket` first, then the remaining forests
   /// in ascending bucket order. Read-only (safe under a shared lock).
   /// The result is a conservative candidate set: a slot whose box has not
-  /// yet learned to cover x is NOT returned — the caller's exact-scan
-  /// fallback covers that case and teaches the box.
+  /// yet learned to cover x is NOT returned — the caller's screened
+  /// fallback scan covers that case and teaches the box.
   void Collect(const Vec& x, size_t first_bucket,
                std::vector<size_t>* out) const;
 

@@ -1,0 +1,86 @@
+#include "interpret/region_screen.h"
+
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
+namespace openapi::interpret {
+
+bool ModelExplains(const api::LocalLinearModel& model, const Vec& x,
+                   const Vec& y, double tol) {
+  const Vec predicted = api::EvaluateLocalModel(model, x);
+  double worst = 0.0;
+  for (size_t k = 0; k < y.size(); ++k) {
+    worst = std::max(worst, std::fabs(predicted[k] - y[k]));
+  }
+  return worst <= tol;
+}
+
+RegionScreen::RegionScreen(size_t dim)
+    : dim_(dim),
+      // ~64 KiB of rows per block, a multiple of the 8-wide kernel lane.
+      block_slots_(std::max<size_t>(
+          16, (64u << 10) / (sizeof(double) * (dim + 1)) / 8 * 8)) {}
+
+void RegionScreen::Set(size_t slot, const api::LocalLinearModel& model,
+                       const Vec& y) {
+  const size_t a = linalg::ArgMax(y);
+  size_t b = a;
+  for (size_t k = 0; k < y.size(); ++k) {
+    if (k != a && (b == a || y[k] > y[b])) b = k;
+  }
+  while (slot >= blocks_.size() * block_slots_) {
+    blocks_.emplace_back(dim_ + 1, block_slots_);
+  }
+  magnitude_.resize(std::max(magnitude_.size(), slot + 1));
+  classes_.resize(magnitude_.size());
+  linalg::Matrix& block = blocks_[slot / block_slots_];
+  const size_t column = slot % block_slots_;
+  double magnitude = std::fabs(model.bias[a]) + std::fabs(model.bias[b]);
+  for (size_t j = 0; j < dim_; ++j) {
+    block(j, column) = model.weights(j, a) - model.weights(j, b);
+    magnitude +=
+        std::fabs(model.weights(j, a)) + std::fabs(model.weights(j, b));
+  }
+  block(dim_, column) = model.bias[a] - model.bias[b];
+  magnitude_[slot] = magnitude;
+  classes_[slot] = {static_cast<uint32_t>(a), static_cast<uint32_t>(b)};
+}
+
+void RegionScreen::Collect(const Vec& x0, const Vec& y0, double match_tol,
+                           size_t num_slots,
+                           std::vector<size_t>* survivors) const {
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // τ′: the tolerance, its comparison's rounding, and the softmax's.
+  const double tau = match_tol * (1.0 + 4.0 * kEps) +
+                     static_cast<double>(y0.size() + 8) * kEps;
+  Vec ln_lo(y0.size());
+  Vec ln_hi(y0.size());
+  for (size_t k = 0; k < y0.size(); ++k) {
+    const double lo = y0[k] > tau ? std::log(y0[k] - tau) : -kInf;
+    const double hi = std::log(y0[k] + tau);
+    ln_lo[k] = lo - 4.0 * kEps * (1.0 + std::fabs(lo));
+    ln_hi[k] = hi + 4.0 * kEps * (1.0 + std::fabs(hi));
+  }
+  Vec x(x0);
+  x.push_back(1.0);
+  const double error = 2.0 * static_cast<double>(dim_ + 2) * kEps *
+                       std::max(1.0, linalg::NormInf(x0));
+  for (size_t first = 0; first < num_slots; first += block_slots_) {
+    const Vec values = blocks_[first / block_slots_].MultiplyTransposed(x);
+    const size_t end = std::min(num_slots, first + block_slots_);
+    for (size_t slot = first; slot < end; ++slot) {
+      const auto [a, b] = classes_[slot];
+      const double v = values[slot - first];
+      const double slack = error * magnitude_[slot];
+      // Written as two rejections so a NaN anywhere passes.
+      if (v < ln_lo[a] - ln_hi[b] - slack || v > ln_hi[a] - ln_lo[b] + slack) {
+        continue;
+      }
+      survivors->push_back(slot);
+    }
+  }
+}
+
+}  // namespace openapi::interpret

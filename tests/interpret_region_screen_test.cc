@@ -1,0 +1,278 @@
+// The log-odds screen (interpret/region_screen.h) must never reject a
+// region the exact match predicate accepts: its survivor set is a
+// SUPERSET of the exact matches on every input. These tests build
+// screens over random and adversarial region models, perturb the
+// request's answer right up to (and past) match_tol, and check the
+// superset property — plus that the screen stays sharp where it can,
+// and that both kernel policies give bit-identical survivors.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
+#include "api/plm.h"
+#include "interpret/region_screen.h"
+#include "linalg/vector_ops.h"
+#include "util/rng.h"
+
+namespace openapi::interpret {
+namespace {
+
+constexpr double kTol = 1e-9;  // EngineConfig::match_tol's default
+
+api::LocalLinearModel RandomModel(size_t d, size_t num_classes,
+                                  double weight_scale, util::Rng* rng) {
+  api::LocalLinearModel model;
+  model.weights = linalg::Matrix(d, num_classes);
+  for (size_t j = 0; j < d; ++j) {
+    for (size_t c = 0; c < num_classes; ++c) {
+      model.weights(j, c) = weight_scale * rng->Uniform(-1.0, 1.0);
+    }
+  }
+  model.bias = rng->UniformVector(num_classes, -1.0, 1.0);
+  return model;
+}
+
+/// A copy of `model` whose predictions differ from it by far less than
+/// kTol: several slots then match the same request.
+api::LocalLinearModel NearCopy(const api::LocalLinearModel& model,
+                               util::Rng* rng) {
+  api::LocalLinearModel copy = model;
+  for (double& b : copy.bias) b += rng->Uniform(-1e-13, 1e-13);
+  return copy;
+}
+
+/// `y` moved by exactly `amount` per class. Sign patterns: +1 shrinks the
+/// top class and grows the others, -1 the reverse (the two directions
+/// that push a region's log-odds to an end of the screen's interval),
+/// 0 picks each sign at random.
+Vec Perturb(const Vec& y, double amount, int pattern, util::Rng* rng) {
+  const size_t top = linalg::ArgMax(y);
+  Vec out = y;
+  for (size_t k = 0; k < y.size(); ++k) {
+    double sign = k == top ? -1.0 : 1.0;
+    if (pattern == -1) sign = -sign;
+    if (pattern == 0) sign = rng->Uniform(0.0, 1.0) < 0.5 ? -1.0 : 1.0;
+    out[k] += sign * amount;
+  }
+  return out;
+}
+
+struct Screened {
+  size_t exact = 0;      // slots the exact predicate accepts
+  size_t survivors = 0;  // slots the screen passes
+};
+
+/// Screens (x0, y0) against `models` (each paired at its anchor's
+/// prediction) and asserts survivors ⊇ exact matches, under both kernel
+/// policies, with bit-identical survivor lists.
+Screened CheckSuperset(const std::vector<api::LocalLinearModel>& models,
+                       const std::vector<Vec>& anchors, const Vec& x0,
+                       const Vec& y0, double tol) {
+  RegionScreen screen(x0.size());
+  for (size_t slot = 0; slot < models.size(); ++slot) {
+    screen.Set(slot, models[slot],
+               api::EvaluateLocalModel(models[slot], anchors[slot]));
+  }
+  std::vector<size_t> survivors;
+  screen.Collect(x0, y0, tol, models.size(), &survivors);
+  linalg::SetKernelPolicy(linalg::KernelPolicy::kReference);
+  std::vector<size_t> reference;
+  screen.Collect(x0, y0, tol, models.size(), &reference);
+  linalg::SetKernelPolicy(linalg::KernelPolicy::kSimd);
+  EXPECT_EQ(survivors, reference);
+  EXPECT_TRUE(std::is_sorted(survivors.begin(), survivors.end()));
+  Screened out;
+  out.survivors = survivors.size();
+  for (size_t slot = 0; slot < models.size(); ++slot) {
+    if (!ModelExplains(models[slot], x0, y0, tol)) continue;
+    ++out.exact;
+    EXPECT_TRUE(std::binary_search(survivors.begin(), survivors.end(), slot))
+        << "screen rejected exact match at slot " << slot;
+  }
+  return out;
+}
+
+/// Fills `n` slots with random models (every 10th slot's neighbors are
+/// near copies of it), anchored at random points, then screens answers
+/// of randomly chosen slots perturbed by `factor` x tol in every sign
+/// pattern. Returns the totals over all requests.
+Screened RunPerturbed(size_t d, size_t num_classes, double weight_scale,
+                      double factor, double tol, uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<api::LocalLinearModel> models;
+  std::vector<Vec> anchors;
+  for (size_t slot = 0; slot < 200; ++slot) {
+    models.push_back(slot % 10 != 0 && slot % 10 < 4
+                         ? NearCopy(models[slot - slot % 10], &rng)
+                         : RandomModel(d, num_classes, weight_scale, &rng));
+    anchors.push_back(rng.UniformVector(d, 0.0, 1.0));
+  }
+  Screened total;
+  for (size_t request = 0; request < 30; ++request) {
+    const size_t target = static_cast<size_t>(rng.Uniform(0.0, 200.0));
+    const Vec x0 = rng.UniformVector(d, 0.0, 1.0);
+    const Vec y = api::EvaluateLocalModel(models[target], x0);
+    for (int pattern : {1, -1, 0}) {
+      const Screened one = CheckSuperset(
+          models, anchors, x0, Perturb(y, factor * tol, pattern, &rng), tol);
+      total.exact += one.exact;
+      total.survivors += one.survivors;
+    }
+  }
+  return total;
+}
+
+TEST(RegionScreenTest, KeepsMatchesAtHalfTolerance) {
+  const Screened s = RunPerturbed(6, 4, 1.0, 0.5, kTol, 1);
+  EXPECT_GE(s.exact, 90u);  // every request's target (and near copies)
+  // Sharp as well as safe: unrelated regions are rejected.
+  EXPECT_LT(s.survivors, 3 * s.exact);
+}
+
+TEST(RegionScreenTest, KeepsMatchesAtTheToleranceEdge) {
+  const Screened s = RunPerturbed(6, 4, 1.0, 1.0 - 1e-6, kTol, 2);
+  EXPECT_GE(s.exact, 90u);
+}
+
+TEST(RegionScreenTest, RejectsPastOneAndAHalfTolerance) {
+  // Nothing matches here (the assertion is only the superset check), and
+  // the perturbed target itself is no longer explained.
+  const Screened s = RunPerturbed(6, 4, 1.0, 1.5, kTol, 3);
+  EXPECT_EQ(s.exact, 0u);
+}
+
+TEST(RegionScreenTest, TwoClasses) {
+  const Screened s = RunPerturbed(5, 2, 1.0, 0.5, kTol, 4);
+  EXPECT_GE(s.exact, 90u);
+  EXPECT_GE(RunPerturbed(5, 2, 1.0, 1.0 - 1e-6, kTol, 5).exact, 90u);
+}
+
+TEST(RegionScreenTest, HugeWeights) {
+  // Raw 1e6 weights saturate every answer; matches must still pass.
+  EXPECT_GE(RunPerturbed(6, 4, 1e6, 0.5, kTol, 6).exact, 90u);
+  // A 1e6 component shared by every class leaves moderate log-odds but
+  // logits whose rounding (~d x 1e6 x u) rivals the interval's width:
+  // this is where the forward-error widening must carry the match.
+  util::Rng rng(7);
+  const size_t d = 8, num_classes = 5;
+  std::vector<api::LocalLinearModel> models;
+  std::vector<Vec> anchors;
+  for (size_t slot = 0; slot < 100; ++slot) {
+    api::LocalLinearModel model = RandomModel(d, num_classes, 1.0, &rng);
+    for (size_t j = 0; j < d; ++j) {
+      const double shared = 1e6 * rng.Uniform(-1.0, 1.0);
+      for (size_t c = 0; c < num_classes; ++c) model.weights(j, c) += shared;
+    }
+    models.push_back(std::move(model));
+    anchors.push_back(rng.UniformVector(d, 0.0, 1.0));
+  }
+  size_t exact = 0;
+  for (size_t request = 0; request < 60; ++request) {
+    const size_t target = request % models.size();
+    const Vec x0 = rng.UniformVector(d, 0.0, 1.0);
+    const Vec y = api::EvaluateLocalModel(models[target], x0);
+    for (int pattern : {1, -1, 0}) {
+      exact += CheckSuperset(models, anchors, x0,
+                             Perturb(y, (1.0 - 1e-6) * kTol, pattern, &rng),
+                             kTol)
+                   .exact;
+    }
+  }
+  EXPECT_GE(exact, 180u);
+}
+
+TEST(RegionScreenTest, SaturatedAnswerPassesItsRegion) {
+  // Runner-up at most match_tol: the interval is one-sided (or
+  // unbounded), and every region that matches still survives.
+  util::Rng rng(8);
+  const size_t d = 6, num_classes = 4;
+  std::vector<api::LocalLinearModel> models;
+  std::vector<Vec> anchors;
+  for (size_t slot = 0; slot < 120; ++slot) {
+    api::LocalLinearModel model = RandomModel(d, num_classes, 1.0, &rng);
+    model.bias[slot % num_classes] += slot % 3 == 0 ? 45.0 : 18.0;
+    models.push_back(std::move(model));
+    anchors.push_back(rng.UniformVector(d, 0.0, 1.0));
+  }
+  size_t exact = 0;
+  for (size_t request = 0; request < 40; ++request) {
+    const size_t target = 3 * (request % 40);  // a saturated region
+    const Vec x0 = rng.UniformVector(d, 0.0, 1.0);
+    const Vec y = api::EvaluateLocalModel(models[target], x0);
+    size_t runner_up_count = 0;
+    for (double p : y) runner_up_count += p <= kTol ? 1 : 0;
+    ASSERT_EQ(runner_up_count, num_classes - 1);
+    for (int pattern : {1, -1, 0}) {
+      exact += CheckSuperset(models, anchors, x0,
+                             Perturb(y, 0.5 * kTol, pattern, &rng), kTol)
+                   .exact;
+    }
+  }
+  EXPECT_GE(exact, 120u);
+}
+
+TEST(RegionScreenTest, HighDimensional) {
+  // d = 784 (MNIST-sized inputs), small weights: long dot products.
+  const Screened s = RunPerturbed(784, 10, 0.05, 1.0 - 1e-6, kTol, 9);
+  EXPECT_GE(s.exact, 90u);
+  EXPECT_LT(s.survivors, 3 * s.exact);
+}
+
+TEST(RegionScreenTest, OverwriteReplacesRowAndClearDropsAll) {
+  // Overwriting a slot replaces its row; Collect only looks below
+  // num_slots; Clear empties the screen.
+  util::Rng rng(10);
+  const size_t d = 4, num_classes = 3;
+  RegionScreen screen(d);
+  const api::LocalLinearModel a = RandomModel(d, num_classes, 1.0, &rng);
+  const api::LocalLinearModel b = RandomModel(d, num_classes, 1.0, &rng);
+  const Vec anchor = rng.UniformVector(d, 0.0, 1.0);
+  screen.Set(0, a, api::EvaluateLocalModel(a, anchor));
+  screen.Set(1, a, api::EvaluateLocalModel(a, anchor));
+  const Vec y = api::EvaluateLocalModel(a, anchor);
+  std::vector<size_t> survivors;
+  screen.Collect(anchor, y, kTol, 2, &survivors);
+  EXPECT_EQ(survivors, (std::vector<size_t>{0, 1}));
+  screen.Set(1, b, api::EvaluateLocalModel(b, anchor));
+  survivors.clear();
+  screen.Collect(anchor, y, kTol, 2, &survivors);
+  EXPECT_EQ(survivors, (std::vector<size_t>{0}));
+  survivors.clear();
+  screen.Collect(anchor, y, kTol, 1, &survivors);
+  EXPECT_EQ(survivors, (std::vector<size_t>{0}));
+  screen.Clear();
+  survivors.clear();
+  screen.Collect(anchor, y, kTol, 0, &survivors);
+  EXPECT_TRUE(survivors.empty());
+}
+
+TEST(RegionScreenTest, SpansManyBlocks) {
+  // More slots than one block holds: survivors keep global slot order.
+  util::Rng rng(11);
+  const size_t d = 3, num_classes = 3;
+  RegionScreen screen(d);
+  const api::LocalLinearModel target = RandomModel(d, num_classes, 1.0, &rng);
+  const Vec x0 = rng.UniformVector(d, 0.0, 1.0);
+  const Vec y0 = api::EvaluateLocalModel(target, x0);
+  std::vector<size_t> expected;
+  for (size_t slot = 0; slot < 20000; ++slot) {
+    const bool match = slot % 997 == 0;
+    const api::LocalLinearModel model =
+        match ? target : RandomModel(d, num_classes, 1.0, &rng);
+    screen.Set(slot, model, api::EvaluateLocalModel(model, x0));
+    if (match) expected.push_back(slot);
+  }
+  std::vector<size_t> survivors;
+  screen.Collect(x0, y0, kTol, 20000, &survivors);
+  for (size_t slot : expected) {
+    EXPECT_TRUE(std::binary_search(survivors.begin(), survivors.end(), slot));
+  }
+  EXPECT_TRUE(std::is_sorted(survivors.begin(), survivors.end()));
+  EXPECT_LT(survivors.size(), 2 * expected.size());
+}
+
+}  // namespace
+}  // namespace openapi::interpret

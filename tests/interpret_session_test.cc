@@ -459,6 +459,39 @@ TEST(SessionEvictionTest, ReExtractionOfEvictedRegionIsClassified) {
   EXPECT_EQ(session->stats().queries, api.query_count());
 }
 
+TEST(SessionEvictionTest, ByteBudgetSessionRemembersEarlyEvictions) {
+  // A session bounded only by bytes (cache_capacity == 0) evicts far
+  // more than 64 regions; re-extracting the very first victim must still
+  // be classified as the refetch of an evicted region.
+  const size_t d = 4, num_classes = 3, k = 10;
+  util::Rng model_rng(13);
+  GridPlm grid(d, num_classes, k, &model_rng);
+  api::PredictionApi api(&grid);
+  EngineConfig config;
+  config.num_threads = 1;
+  InterpretationEngine engine(config);
+  SessionOptions options;
+  options.cache_capacity_bytes = 8u << 10;
+  auto session = engine.OpenSession(api, options);
+  EXPECT_EQ(session->cache_capacity(), 0u);
+
+  uint64_t stream = 0;
+  for (size_t cell = 0; cell < k * k; ++cell) {
+    auto response =
+        session->Interpret({grid.NthCellCenter(cell), 0, {}}, 29, stream++);
+    ASSERT_TRUE(response.result.ok()) << "cell " << cell;
+    EXPECT_EQ(response.cache_outcome, CacheOutcome::kMiss) << "cell " << cell;
+  }
+  ASSERT_GT(session->stats().evictions, 64u);
+  ASSERT_LT(session->cache_size(), 32u);
+
+  auto refetch =
+      session->Interpret({grid.NthCellCenter(0), 0, {}}, 29, stream++);
+  ASSERT_TRUE(refetch.result.ok());
+  EXPECT_EQ(refetch.cache_outcome, CacheOutcome::kEvictedRefetch);
+  EXPECT_EQ(session->stats().queries, api.query_count());
+}
+
 // ---------------------------------------------------------------------------
 // Endpoint isolation
 // ---------------------------------------------------------------------------
