@@ -20,9 +20,12 @@ constexpr size_t kNoSlot = static_cast<size_t>(-1);
 /// closing the "point memo grows without bound" hole.
 constexpr size_t kMaxMemoPointsPerRegion = 256;
 
-/// Estimated resident bytes of one point-memo hash-map entry: the
-/// 128-bit PointKey, the slot value, and the node/bucket overhead of the
-/// unordered_map. Feeds the memo_bytes gauge the byte budget bounds.
+/// Charged resident bytes of one point-memo entry: the 128-bit PointKey,
+/// the slot value, and two pointers of overhead. It was sized for a
+/// node-based map and is kept as is, so byte-budget decisions do not
+/// change; the flat table (point_memo.h) holds 24-byte entries at 3/8 to
+/// 3/4 load, 32-64 bytes per entry. Feeds the memo_bytes gauge the byte
+/// budget bounds.
 constexpr size_t kMemoMapEntryBytes =
     2 * sizeof(uint64_t) + sizeof(size_t) + 2 * sizeof(void*);
 
@@ -232,7 +235,7 @@ void EndpointSession::EnforceByteBudgetLocked(
   }
 }
 
-EndpointSession::PointKey EndpointSession::PointKeyOf(const Vec& x0) {
+PointKey EndpointSession::PointKeyOf(const Vec& x0) {
   // Two FNV-1a streams with different offsets over the raw double bits.
   uint64_t h1 = 1469598103934665603ULL;
   uint64_t h2 = 0xcbf29ce484222325ULL ^ 0x9e3779b97f4a7c15ULL;
@@ -268,11 +271,10 @@ bool EndpointSession::SlotMatchesLocked(size_t slot, const Vec& x0,
          RegionMatches(region.model, x0, y0, probe, y_probe);
 }
 
-size_t EndpointSession::FindMatchingRegion(const Vec& x0, const Vec& y0,
-                                           const Vec& probe,
-                                           const Vec& y_probe,
-                                           size_t argmax) const {
-  util::ReaderMutexLock lock(cache_mutex_);
+size_t EndpointSession::FindMatchingRegionLocked(const Vec& x0, const Vec& y0,
+                                                 const Vec& probe,
+                                                 const Vec& y_probe,
+                                                 size_t argmax) const {
   if (index_ == nullptr) {
     // The reference leg: every cached model, in slot order, unscreened.
     for (size_t slot = 0; slot < regions_.size(); ++slot) {
@@ -287,8 +289,9 @@ size_t EndpointSession::FindMatchingRegion(const Vec& x0, const Vec& y0,
   // also have found. The argmax(y0) forest is stabbed AND validated
   // first: in the common case the query predicts its region's own
   // class, so the steady-state hit never pays for the other C-1
-  // forests. Validation is exact either way, so phase order only moves
-  // work, never the outcome.
+  // forests. Each phase comes back in ascending slot order, so among the
+  // stabbed regions that validate the lowest slot serves, as in the
+  // reference leg.
   std::vector<size_t> candidates;
   index_->CollectBucket(x0, argmax, &candidates);
   for (size_t slot : candidates) {
@@ -326,9 +329,9 @@ void EndpointSession::DropRegionAuxLocked(size_t slot) const {
   // Drop the victim's memo keys so a stale memo entry can never serve
   // the slot's next occupant (point-memo answers skip API validation).
   for (const PointKey& key : victim.points) {
-    auto it = point_memo_.find(key);
-    if (it != point_memo_.end() && it->second == slot) {
-      point_memo_.erase(it);
+    const size_t* filed = point_memo_.Find(key);
+    if (filed != nullptr && *filed == slot) {
+      point_memo_.Erase(key);
       BumpGauge(&StatCounters::memo_bytes,
                 -static_cast<int64_t>(kMemoMapEntryBytes));
     }
@@ -411,19 +414,19 @@ size_t EndpointSession::EvictOneLocked(
 
 void EndpointSession::FilePointLocked(const PointKey& key,
                                       size_t slot) const {
-  auto [it, inserted] = point_memo_.emplace(key, slot);
+  auto [filed, inserted] = point_memo_.Emplace(key, slot);
   if (inserted) {
     BumpGauge(&StatCounters::memo_bytes,
               static_cast<int64_t>(kMemoMapEntryBytes));
   } else {
-    if (it->second == slot) return;
-    it->second = slot;  // the key's old region was displaced
+    if (*filed == slot) return;
+    *filed = slot;  // the key's old region was displaced
   }
   CachedRegion& region = regions_[slot];
   if (region.points.size() >= kMaxMemoPointsPerRegion) {
-    auto oldest = point_memo_.find(region.points.front());
-    if (oldest != point_memo_.end() && oldest->second == slot) {
-      point_memo_.erase(oldest);
+    const size_t* oldest = point_memo_.Find(region.points.front());
+    if (oldest != nullptr && *oldest == slot) {
+      point_memo_.Erase(region.points.front());
       BumpGauge(&StatCounters::memo_bytes,
                 -static_cast<int64_t>(kMemoMapEntryBytes));
     }
@@ -436,11 +439,12 @@ void EndpointSession::FilePointLocked(const PointKey& key,
             static_cast<int64_t>(kMemoListEntryBytes));
 }
 
-void EndpointSession::FileBucketLocked(size_t slot, size_t argmax) const {
+bool EndpointSession::FileBucketLocked(size_t slot, size_t argmax) const {
   std::vector<size_t>& keys = regions_[slot].bucket_keys;
-  if (std::find(keys.begin(), keys.end(), argmax) != keys.end()) return;
+  if (std::find(keys.begin(), keys.end(), argmax) != keys.end()) return false;
   keys.push_back(argmax);
   if (index_ != nullptr && index_->contains(slot)) index_->File(slot, argmax);
+  return true;
 }
 
 size_t EndpointSession::InsertRegion(
@@ -621,13 +625,12 @@ Result<Interpretation> EndpointSession::InterpretCached(
   std::optional<api::LocalLinearModel> drift_check_model;
   {
     util::ReaderMutexLock lock(cache_mutex_);
-    auto it = point_memo_.find(key);
-    if (it != point_memo_.end() &&
-        regions_[it->second].epoch ==
-            epoch_.load(std::memory_order_relaxed)) {
+    const size_t* filed = point_memo_.Find(key);
+    if (filed != nullptr &&
+        regions_[*filed].epoch == epoch_.load(std::memory_order_relaxed)) {
       // The hit bump is an atomic on a mutable container: safe under the
       // shared (reader) lock.
-      CachedRegion& region = regions_[it->second];
+      CachedRegion& region = regions_[*filed];
       const uint64_t interval = config.drift_check_interval;
       if (interval > 0 &&
           (memo_hit_ticks_.fetch_add(1, std::memory_order_relaxed) + 1) %
@@ -693,52 +696,51 @@ Result<Interpretation> EndpointSession::InterpretCached(
   // Eviction spill records staged under the writer lock on any of the
   // paths below; persisted (store mutex only) after the lock is gone.
   std::vector<store::RegionRecord> spills;
-  size_t slot = FindMatchingRegion(x0, y0, probe, y_probe, argmax);
+  // The answer is built from the matched model under the reader lock the
+  // match was validated under, so no copy of it is taken and nothing is
+  // validated twice.
+  Interpretation answer;
+  size_t slot = kNoSlot;
+  uint64_t fingerprint = 0;
+  {
+    util::ReaderMutexLock lock(cache_mutex_);
+    slot = FindMatchingRegionLocked(x0, y0, probe, y_probe, argmax);
+    if (slot != kNoSlot) {
+      fingerprint = regions_[slot].fingerprint;
+      answer = FromCachedModel(regions_[slot].model, c, &probe,
+                               /*queries=*/2, config.validation_edge);
+    }
+  }
   if (slot != kNoSlot) {
-    // A racing ClearCache or eviction may have dropped (or refilled) the
-    // slot between the scan and here, so copy under the lock with a
-    // bounds check and re-validate the copy against the API output
-    // before trusting it.
-    std::optional<api::LocalLinearModel> model;
-    uint64_t fingerprint = 0;
     {
-      util::ReaderMutexLock lock(cache_mutex_);
-      if (slot < regions_.size()) {
-        fingerprint = regions_[slot].fingerprint;
-        model = regions_[slot].model;
-      }
-    }
-    if (model.has_value() &&
-        RegionMatches(*model, x0, y0, probe, y_probe)) {
-      {
-        // Memoize the point, grow the learned box to cover x0 (so the next
-        // nearby request resolves in the index stab instead of the
-        // fallback scan), and file the slot under this argmax's forest too
-        // when it was found under another (a region spanning the decision
-        // boundary). The fingerprint check keeps a refilled slot from
-        // poisoning the memo.
-        util::WriterMutexLock lock(cache_mutex_);
-        if (slot < regions_.size() &&
-            regions_[slot].fingerprint == fingerprint) {
-          FilePointLocked(key, slot);
-          regions_[slot].hits.fetch_add(1, std::memory_order_relaxed);
-          if (index_ != nullptr && index_->contains(slot)) {
-            index_->Expand(slot, x0);
-          }
-          FileBucketLocked(slot, argmax);
-          // The memo (and possibly the box/forest filings) grew: keep
-          // the byte ceiling while protecting the slot just served.
-          RefreshIndexBytesLocked();
-          EnforceByteBudgetLocked(slot, &spills);
+      // Memoize the point, grow the learned box to cover x0 (so the next
+      // nearby request resolves in the index stab instead of the fallback
+      // scan), and file the slot under this argmax's forest too when it
+      // was found under another (a region spanning the decision
+      // boundary). A racing ClearCache or eviction may have dropped or
+      // refilled the slot since the reader lock was released; the
+      // fingerprint check keeps a refilled slot from poisoning the memo.
+      // The answer stands either way: it was validated against the API.
+      util::WriterMutexLock lock(cache_mutex_);
+      if (slot < regions_.size() && regions_[slot].occupied &&
+          regions_[slot].fingerprint == fingerprint) {
+        FilePointLocked(key, slot);
+        regions_[slot].hits.fetch_add(1, std::memory_order_relaxed);
+        if (index_ != nullptr && index_->contains(slot)) {
+          index_->Expand(slot, x0);
         }
+        // Expand moves bounds only; index capacity changes only when the
+        // slot is filed under a new forest.
+        if (FileBucketLocked(slot, argmax)) RefreshIndexBytesLocked();
+        // The memo grew: keep the byte ceiling while protecting the slot
+        // just served.
+        EnforceByteBudgetLocked(slot, &spills);
       }
-      PersistSpills(&spills);
-      Bump(&StatCounters::cache_hits);
-      *outcome = CacheOutcome::kMemoryHit;
-      return FromCachedModel(*model, c, &probe, /*queries=*/2,
-                             config.validation_edge);
     }
-    // The slot vanished under us: treat the request as a miss below.
+    PersistSpills(&spills);
+    Bump(&StatCounters::cache_hits);
+    *outcome = CacheOutcome::kMemoryHit;
+    return answer;
   }
 
   // 2b. Persistent tier: RAM missed, but the region may sit on the
@@ -978,7 +980,7 @@ void EndpointSession::InvalidateStaleRegions() const {
 void EndpointSession::ClearCacheLocked() const {
   regions_.clear();
   by_fingerprint_.clear();
-  point_memo_.clear();
+  point_memo_.Clear();
   evicted_fingerprints_.clear();
   clock_hand_ = 0;
   free_slots_.clear();

@@ -82,8 +82,9 @@
 //
 // Each worker consults the session's cache before paying the closed-form
 // solve — hash indexes guarded by a shared_mutex:
-//   * a point memo (hash of x0's raw bits -> region slot): a request whose
-//     exact x0 was answered before costs ZERO API queries, any class;
+//   * a point memo (hash of x0's raw bits -> region slot, a flat
+//     open-addressing table, point_memo.h): a request whose exact x0 was
+//     answered before costs ZERO API queries, any class;
 //   * a fingerprint index (quantized canonical-model hash -> slot) that
 //     deduplicates regions extracted concurrently by different workers;
 //   * the REGION INDEX (region_index.h, EngineConfig::use_region_index,
@@ -142,6 +143,7 @@
 #include <vector>
 
 #include "interpret/openapi_method.h"
+#include "interpret/point_memo.h"
 #include "interpret/region_index.h"
 #include "interpret/region_screen.h"
 #include "interpret/request_options.h"
@@ -445,8 +447,6 @@ class EndpointSession
  private:
   friend class InterpretationEngine;
 
-  using PointKey = std::pair<uint64_t, uint64_t>;
-
   /// An atomic hit counter that moves (relaxed) with its slot, so
   /// CachedRegion keeps its defaulted moves.
   struct HitCounter : std::atomic<uint32_t> {
@@ -486,12 +486,6 @@ class EndpointSession
     /// paths also skip them defensively, so a stale closed form can never
     /// serve even mid-invalidation.
     uint64_t epoch = 0;
-  };
-
-  struct PairHash {
-    size_t operator()(const PointKey& k) const {
-      return static_cast<size_t>(k.first ^ (k.second * 0x9e3779b97f4a7c15ULL));
-    }
   };
 
   /// Per-session counters and byte gauges; every bump is mirrored into
@@ -576,15 +570,18 @@ class EndpointSession
                                          ProbeRetryStats* retry_stats) const;
 
   /// Returns the slot whose model explains (x0, y0) and (probe, y_probe),
-  /// or SIZE_MAX. Takes the shared (reader) lock itself. `argmax` is the
+  /// or SIZE_MAX. The caller holds the lock (shared suffices) and builds
+  /// its answer from the slot before releasing it. `argmax` is the
   /// predicted class at x0 (from y0) selecting the index forest stabbed
   /// first. With use_region_index on, candidates come from the index's
-  /// stabbing query and the screened full scan runs only when none of
-  /// them validates — the decision (and therefore every downstream query
-  /// count) is identical to the linear scan leg.
-  size_t FindMatchingRegion(const Vec& x0, const Vec& y0, const Vec& probe,
-                            const Vec& y_probe, size_t argmax) const
-      EXCLUDES(cache_mutex_);
+  /// stabbing query (each phase in ascending slot order) and the screened
+  /// full scan runs only when none of them validates — the hit/miss
+  /// decision (and therefore every downstream query count) is identical
+  /// to the linear scan leg.
+  size_t FindMatchingRegionLocked(const Vec& x0, const Vec& y0,
+                                  const Vec& probe, const Vec& y_probe,
+                                  size_t argmax) const
+      REQUIRES_SHARED(cache_mutex_);
 
   /// Inserts `model` (deduplicating by fingerprint; evicting at count
   /// capacity or byte budget), memoizes memo_point -> slot, and files the
@@ -668,9 +665,9 @@ class EndpointSession
   void FilePointLocked(const PointKey& key, size_t slot) const
       REQUIRES(cache_mutex_);
 
-  /// Files `slot` under index forest `argmax` (once). Requires the
-  /// writer lock.
-  void FileBucketLocked(size_t slot, size_t argmax) const
+  /// Files `slot` under index forest `argmax` (once); true when it was
+  /// not filed there before. Requires the writer lock.
+  bool FileBucketLocked(size_t slot, size_t argmax) const
       REQUIRES(cache_mutex_);
 
   /// The exact 2-point predicate: `model` explains both (x0, y0) and
@@ -719,8 +716,7 @@ class EndpointSession
   mutable std::vector<CachedRegion> regions_ GUARDED_BY(cache_mutex_);
   mutable std::unordered_map<uint64_t, size_t> by_fingerprint_
       GUARDED_BY(cache_mutex_);
-  mutable std::unordered_map<PointKey, size_t, PairHash> point_memo_
-      GUARDED_BY(cache_mutex_);
+  mutable PointMemoTable<> point_memo_ GUARDED_BY(cache_mutex_);
   /// Fingerprints of evicted regions, kept (bounded) to classify their
   /// re-extraction as kEvictedRefetch.
   mutable std::unordered_set<uint64_t> evicted_fingerprints_

@@ -9,6 +9,17 @@ namespace {
 
 constexpr int32_t kNoNode = -1;
 
+/// Asks for the cache lines of [p, p + bytes), at most eight of them: a
+/// whole box up to d = 28; a wider box's tail is fetched on demand.
+void PrefetchRange(const void* p, size_t bytes) {
+  constexpr uintptr_t kLine = 64;
+  uintptr_t line = reinterpret_cast<uintptr_t>(p) & ~(kLine - 1);
+  const uintptr_t end = reinterpret_cast<uintptr_t>(p) + bytes;
+  for (int n = 0; n < 8 && line < end; ++n, line += kLine) {
+    __builtin_prefetch(reinterpret_cast<const void*>(line));
+  }
+}
+
 }  // namespace
 
 RegionIndex::RegionIndex(size_t dim, size_t leaf_capacity)
@@ -248,34 +259,80 @@ void RegionIndex::RefitUp(Tree* tree, int32_t node, const double* lo,
   }
 }
 
-void RegionIndex::StabTree(const Tree& tree, const Vec& x,
-                           std::vector<size_t>* out) const {
-  // Explicit stack: depth is logarithmic for balanced trees, but the
-  // candidate walk should not gamble the C++ stack on it.
-  std::vector<int32_t> pending;
-  pending.push_back(0);
-  while (!pending.empty()) {
-    const int32_t id = pending.back();
-    pending.pop_back();
+void RegionIndex::Stab(const Vec& x, size_t bucket, bool other_buckets,
+                       std::vector<size_t>* out) const {
+  OPENAPI_CHECK_EQ(x.size(), dim_);
+  // Per-thread scratch, reused: a stab allocates nothing in steady state.
+  struct Pending {
+    const Tree* tree;
+    int32_t node;
+  };
+  thread_local std::vector<Pending> queue;
+  thread_local std::vector<const Node*> leaves;
+  queue.clear();
+  leaves.clear();
+  // Queuing a node prefetches both lines a test of it reads: its bounds
+  // and the Node itself (the child links, or the leaf's payload pointer).
+  auto enqueue = [this](const Tree* tree, int32_t id) {
+    PrefetchRange(tree->bounds.data() + static_cast<size_t>(id) * 2 * dim_,
+                  2 * dim_ * sizeof(double));
+    PrefetchRange(&tree->nodes[id], sizeof(Node));
+    queue.push_back(Pending{tree, id});
+  };
+  if (other_buckets) {
+    for (const auto& [filed, forest] : forests_) {
+      if (filed == bucket) continue;
+      for (const auto& tree : forest) enqueue(tree.get(), 0);
+    }
+  } else if (auto it = forests_.find(bucket); it != forests_.end()) {
+    for (const auto& tree : it->second) enqueue(tree.get(), 0);
+  }
+  // Breadth-first over every queued tree at once: the queue holds a whole
+  // level of every tree before the next, so the prefetches for one tree's
+  // children are in flight while the other trees' nodes are tested. A
+  // depth-first walk of one tree at a time waits on each node's cache
+  // miss before it can even name the next one.
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const auto [tree, id] = queue[head];
     const double* nlo =
-        tree.bounds.data() + static_cast<size_t>(id) * 2 * dim_;
+        tree->bounds.data() + static_cast<size_t>(id) * 2 * dim_;
     if (!BoxContains(nlo, nlo + dim_, x)) continue;
-    const Node& node = tree.nodes[id];
+    const Node& node = tree->nodes[id];
     if (node.left == kNoNode) {
-      for (uint32_t slot : node.slots) {
-        if (!BoxContains(EntryLo(slot), EntryHi(slot), x)) continue;
-        // Dedup across forests (a boundary-spanning region is filed under
-        // several buckets). Candidate sets are tiny; linear is fine.
-        if (std::find(out->begin(), out->end(), static_cast<size_t>(slot)) ==
-            out->end()) {
-          out->push_back(static_cast<size_t>(slot));
-        }
+      if (!node.slots.empty()) {
+        PrefetchRange(node.slots.data(), node.slots.size() * sizeof(uint32_t));
+        leaves.push_back(&node);
       }
       continue;
     }
-    pending.push_back(node.left);
-    pending.push_back(node.right);
+    enqueue(tree, node.left);
+    enqueue(tree, node.right);
   }
+  // Leaf payloads in two passes for the same reason: fetch every reached
+  // slot's box, then test them.
+  for (const Node* leaf : leaves) {
+    for (uint32_t slot : leaf->slots) {
+      PrefetchRange(EntryLo(slot), 2 * dim_ * sizeof(double));
+    }
+  }
+  const size_t begin = out->size();
+  for (const Node* leaf : leaves) {
+    for (uint32_t slot : leaf->slots) {
+      if (BoxContains(EntryLo(slot), EntryHi(slot), x)) out->push_back(slot);
+    }
+  }
+  // One phase's candidates in ascending slot order, each once (a
+  // boundary-spanning region is filed under several forests) and none
+  // already returned by an earlier phase: the caller validates in this
+  // order, so the lowest validating slot serves, whatever the trees'
+  // shapes or the walk order.
+  const auto first = out->begin() + static_cast<std::ptrdiff_t>(begin);
+  std::sort(first, out->end());
+  auto last = std::unique(first, out->end());
+  last = std::remove_if(first, last, [out, first](size_t slot) {
+    return std::find(out->begin(), first, slot) != first;
+  });
+  out->erase(last, out->end());
 }
 
 void RegionIndex::Collect(const Vec& x, size_t first_bucket,
@@ -286,19 +343,12 @@ void RegionIndex::Collect(const Vec& x, size_t first_bucket,
 
 void RegionIndex::CollectBucket(const Vec& x, size_t bucket,
                                 std::vector<size_t>* out) const {
-  OPENAPI_CHECK_EQ(x.size(), dim_);
-  auto it = forests_.find(bucket);
-  if (it == forests_.end()) return;
-  for (const auto& tree : it->second) StabTree(*tree, x, out);
+  Stab(x, bucket, /*other_buckets=*/false, out);
 }
 
 void RegionIndex::CollectRest(const Vec& x, size_t exclude_bucket,
                               std::vector<size_t>* out) const {
-  OPENAPI_CHECK_EQ(x.size(), dim_);
-  for (const auto& [bucket, forest] : forests_) {
-    if (bucket == exclude_bucket) continue;
-    for (const auto& tree : forest) StabTree(*tree, x, out);
-  }
+  Stab(x, exclude_bucket, /*other_buckets=*/true, out);
 }
 
 size_t RegionIndex::tree_count() const {

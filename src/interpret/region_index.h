@@ -59,6 +59,27 @@
 // query point: O(log^2 n) node visits worst case, a few hundred at
 // 10^6 regions where the linear scan evaluates 10^6 models.
 //
+// ## The stab
+//
+// A query's cost is cache misses, not comparisons: at 3*10^4 regions a
+// forest holds ~6 trees and a stab tests ~50 node boxes and ~25 slot
+// boxes, each a line no earlier stab left in cache. So one stab walks
+// ALL trees of the phase's forests together, level by level, from one
+// queue: queuing a child prefetches its bounds and node, and by the time
+// the walk reaches it the other trees' nodes of that level have been
+// tested while the lines arrived — the misses of different trees
+// overlap instead of queuing behind each other. Reached leaves are
+// handled the same way (prefetch every payload slot's box, then test).
+// The queue is per thread and reused, so a stab allocates nothing in
+// steady state.
+//
+// Candidate order is fixed by the slots, not the walk: each phase (the
+// argmax forest, then the others) comes out in ascending slot order,
+// deduplicated. The caller validates in that order, so when several
+// stabbed regions explain an answer the lowest slot serves — the one the
+// linear reference scan would pick among them — whatever shape the
+// trees have been rebuilt into.
+//
 // Removals (second-chance eviction, ClearCache) erase the slot from its
 // leaf immediately; a tree that falls below half its built size is
 // rebuilt compactly, so dead space stays bounded. The session CHECKs
@@ -163,9 +184,10 @@ class RegionIndex {
     return bytes;
   }
 
-  /// Appends the slots whose learned box contains x, deduplicated, the
-  /// forest filed under `first_bucket` first, then the remaining forests
-  /// in ascending bucket order. Read-only (safe under a shared lock).
+  /// Appends the slots whose learned box contains x, deduplicated, in two
+  /// phases: those filed under `first_bucket`'s forest, then those from
+  /// the remaining forests only — each phase in ascending slot order.
+  /// Read-only (safe under a shared lock).
   /// The result is a conservative candidate set: a slot whose box has not
   /// yet learned to cover x is NOT returned — the caller's screened
   /// fallback scan covers that case and teaches the box.
@@ -174,8 +196,9 @@ class RegionIndex {
 
   /// The two phases of Collect, split so the caller can validate the
   /// `first_bucket` candidates (the common hit: the query predicts the
-  /// region's own argmax) before paying for the other C-1 forests.
-  /// CollectRest deduplicates against whatever is already in `out`.
+  /// region's own argmax) before paying for the other C-1 forests. Each
+  /// appends its phase in ascending slot order and skips whatever is
+  /// already in `out`.
   void CollectBucket(const Vec& x, size_t bucket,
                      std::vector<size_t>* out) const;
   void CollectRest(const Vec& x, size_t exclude_bucket,
@@ -266,8 +289,12 @@ class RegionIndex {
   void RefitUp(Tree* tree, int32_t node, const double* lo,
                const double* hi) const;
 
-  void StabTree(const Tree& tree, const Vec& x,
-                std::vector<size_t>* out) const;
+  /// Stabs `bucket`'s forest, or with `other_buckets` every forest but
+  /// `bucket`'s, level by level across all their trees; appends the slots
+  /// whose learned box contains x — ascending, deduplicated, and minus
+  /// any already in `out`.
+  void Stab(const Vec& x, size_t bucket, bool other_buckets,
+            std::vector<size_t>* out) const;
 
   const size_t dim_;
   const size_t leaf_capacity_;

@@ -3,17 +3,44 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
+
+#include "util/check.h"
 
 namespace openapi::interpret {
 
 bool ModelExplains(const api::LocalLinearModel& model, const Vec& x,
                    const Vec& y, double tol) {
-  const Vec predicted = api::EvaluateLocalModel(model, x);
-  double worst = 0.0;
-  for (size_t k = 0; k < y.size(); ++k) {
-    worst = std::max(worst, std::fabs(predicted[k] - y[k]));
+  const size_t dim = model.weights.rows();
+  const size_t num_classes = model.weights.cols();
+  OPENAPI_CHECK_EQ(x.size(), dim);
+  OPENAPI_CHECK_EQ(y.size(), num_classes);
+  // api::EvaluateLocalModel's operation order (logits accumulated row by
+  // row, then the bias, then SoftmaxInto), so the probabilities are
+  // bit-identical to it — into stack scratch for the common class counts.
+  constexpr size_t kStackClasses = 32;
+  double stack[2 * kStackClasses];
+  std::vector<double> heap;
+  double* logits = stack;
+  if (num_classes > kStackClasses) {
+    heap.resize(2 * num_classes);
+    logits = heap.data();
   }
-  return worst <= tol;
+  double* predicted = logits + num_classes;
+  std::fill(logits, logits + num_classes, 0.0);
+  for (size_t r = 0; r < dim; ++r) {
+    const double* row = model.weights.RowPtr(r);
+    const double xr = x[r];
+    for (size_t c = 0; c < num_classes; ++c) logits[c] += row[c] * xr;
+  }
+  for (size_t c = 0; c < num_classes; ++c) logits[c] += model.bias[c];
+  linalg::SoftmaxInto(logits, num_classes, predicted);
+  for (size_t k = 0; k < num_classes; ++k) {
+    // Negated so a NaN on either side (overflowed logits, a NaN answer)
+    // is a mismatch, never a match.
+    if (!(std::fabs(predicted[k] - y[k]) <= tol)) return false;
+  }
+  return true;
 }
 
 RegionScreen::RegionScreen(size_t dim)

@@ -13,10 +13,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "api/ground_truth.h"
 #include "api/plm.h"
 #include "interpret/interpretation_engine.h"
 #include "util/rng.h"
@@ -247,11 +249,25 @@ TEST(RegionIndexTest, RandomizedOpsMatchBruteForceStab) {
     ASSERT_EQ(index.size(), live);
     for (size_t q = 0; q < 8; ++q) {
       Vec x = rng.UniformVector(d, 0.0, 1.0);
+      const size_t bucket = q % 4;
       std::vector<size_t> got;
-      index.Collect(x, q % 4, &got);
-      std::set<size_t> got_set(got.begin(), got.end());
-      ASSERT_EQ(got_set.size(), got.size()) << "Collect returned dupes";
-      std::set<size_t> want;
+      index.CollectBucket(x, bucket, &got);
+      const size_t first_phase = got.size();
+      index.CollectRest(x, bucket, &got);
+      std::vector<size_t> collected;
+      index.Collect(x, bucket, &collected);
+      ASSERT_EQ(collected, got);
+      // Each phase in ascending slot order (so no duplicates either): the
+      // order candidates are validated in, so which region serves never
+      // depends on the trees' shapes.
+      const auto phase_end = got.begin() + static_cast<long>(first_phase);
+      ASSERT_TRUE(std::adjacent_find(got.begin(), phase_end,
+                                     std::greater_equal<size_t>()) ==
+                  phase_end);
+      ASSERT_TRUE(std::adjacent_find(phase_end, got.end(),
+                                     std::greater_equal<size_t>()) ==
+                  got.end());
+      std::vector<size_t> want_first, want_rest;
       for (size_t slot = 0; slot < next_slot; ++slot) {
         const Shadow& s = shadow[slot];
         if (!s.present || s.buckets.empty()) continue;
@@ -259,9 +275,11 @@ TEST(RegionIndexTest, RandomizedOpsMatchBruteForceStab) {
         for (size_t j = 0; j < d; ++j) {
           inside = inside && s.lo[j] <= x[j] && x[j] <= s.hi[j];
         }
-        if (inside) want.insert(slot);
+        if (!inside) continue;
+        (s.buckets.count(bucket) > 0 ? want_first : want_rest).push_back(slot);
       }
-      ASSERT_EQ(got_set, want);
+      ASSERT_EQ(std::vector<size_t>(got.begin(), phase_end), want_first);
+      ASSERT_EQ(std::vector<size_t>(phase_end, got.end()), want_rest);
     }
   }
 }
@@ -357,6 +375,64 @@ TEST(RegionIndexSessionTest, ImportRegionWarmStartServesWithoutExtraction) {
   EXPECT_EQ(hit.cache_outcome, CacheOutcome::kMemoryHit);
   EXPECT_EQ(hit.queries, 2u);
   EXPECT_EQ(session->stats().cache_misses, 0u);
+}
+
+TEST(RegionIndexSessionTest, LowestValidatingStabbedSlotServes) {
+  // Two cached regions explain one validation pair: A, the endpoint's own
+  // cell model, and B, which differs from it only in feature 3's weights.
+  // Feature 3 is 0 at x0 and within the validation edge of 0 at the
+  // probe, so B's probabilities stay within ~1e-10 of A's, yet the two
+  // fingerprints differ and both are cached. The stab returns both; the
+  // lower slot must serve, whichever model it holds and whatever shape
+  // the 35 filler regions filed between them give the trees — the same
+  // region the linear reference leg serves.
+  util::Rng model_rng(93);
+  GridPlm grid(/*d=*/4, /*num_classes=*/3, /*k=*/6, &model_rng);
+  api::PredictionApi api(&grid);
+  const api::LocalLinearModel& a = grid.CellModel(2, 3);
+  api::LocalLinearModel b = a;
+  for (size_t c = 0; c < 3; ++c) {
+    b.weights(3, c) += 1e-4 * static_cast<double>(c + 1);
+  }
+  Vec anchor = grid.CellCenter(2, 3);
+  anchor[3] = 0.0;
+  Vec x0 = anchor;
+  x0[0] += 1e-9;  // not the anchor: no point-memo hit
+  ASSERT_NE(api::GroundTruthDecisionFeatures(a, 0),
+            api::GroundTruthDecisionFeatures(b, 0));
+  for (bool a_first : {true, false}) {
+    for (bool use_index : {true, false}) {
+      EngineConfig config;
+      config.num_threads = 1;
+      config.use_region_index = use_index;
+      InterpretationEngine engine(config);
+      auto session = engine.OpenSession(api);
+      const api::LocalLinearModel& lower = a_first ? a : b;
+      ASSERT_TRUE(
+          session->ImportRegion(lower, anchor, grid.CellHalfEdge()).ok());
+      for (size_t i = 0; i < 6; ++i) {
+        for (size_t j = 0; j < 6; ++j) {
+          if (i == 2 && j == 3) continue;
+          ASSERT_TRUE(session
+                          ->ImportRegion(grid.CellModel(i, j),
+                                         grid.CellCenter(i, j),
+                                         grid.CellHalfEdge())
+                          .ok());
+        }
+      }
+      ASSERT_TRUE(session
+                      ->ImportRegion(a_first ? b : a, anchor,
+                                     grid.CellHalfEdge())
+                      .ok());
+      ASSERT_EQ(session->cache_size(), 37u);
+      EngineResponse response = session->Interpret({x0, 0, {}}, /*seed=*/5);
+      ASSERT_TRUE(response.result.ok());
+      EXPECT_EQ(response.cache_outcome, CacheOutcome::kMemoryHit);
+      EXPECT_EQ(response.queries, 2u);
+      EXPECT_EQ(response.result->dc, api::GroundTruthDecisionFeatures(lower, 0))
+          << "a_first=" << a_first << " use_index=" << use_index;
+    }
+  }
 }
 
 TEST(RegionIndexSessionTest, ImportRegionFailsWhenCacheDisabled) {

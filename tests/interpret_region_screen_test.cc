@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "api/plm.h"
@@ -272,6 +273,68 @@ TEST(RegionScreenTest, SpansManyBlocks) {
   }
   EXPECT_TRUE(std::is_sorted(survivors.begin(), survivors.end()));
   EXPECT_LT(survivors.size(), 2 * expected.size());
+}
+
+TEST(ModelExplainsTest, BitIdenticalToEvaluateLocalModel) {
+  // At tolerance 0 a model explains exactly its own EvaluateLocalModel
+  // output, so the predicate's probabilities match it bit for bit —
+  // under both kernel policies, and past the stack scratch's class count.
+  util::Rng rng(12);
+  for (size_t num_classes : {2, 3, 10, 33, 40}) {
+    for (size_t trial = 0; trial < 20; ++trial) {
+      const size_t d = 1 + trial % 9;
+      const api::LocalLinearModel model =
+          RandomModel(d, num_classes, trial % 2 == 0 ? 1.0 : 30.0, &rng);
+      const Vec x = rng.UniformVector(d, -2.0, 2.0);
+      for (auto policy :
+           {linalg::KernelPolicy::kSimd, linalg::KernelPolicy::kReference}) {
+        linalg::SetKernelPolicy(policy);
+        const Vec y = api::EvaluateLocalModel(model, x);
+        EXPECT_TRUE(ModelExplains(model, x, y, 0.0))
+            << "C=" << num_classes << " d=" << d;
+        Vec nudged = y;
+        nudged[trial % num_classes] =
+            std::nextafter(nudged[trial % num_classes], 2.0);
+        EXPECT_FALSE(ModelExplains(model, x, nudged, 0.0));
+      }
+      linalg::SetKernelPolicy(linalg::KernelPolicy::kSimd);
+    }
+  }
+}
+
+TEST(ModelExplainsTest, NanIsNeverAMatch) {
+  // Weights of 1e308 overflow every logit at x = (10, 0): the softmax is
+  // NaN (inf - inf), and such a model explains no answer at all.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  api::LocalLinearModel overflowing;
+  overflowing.weights = linalg::Matrix(2, 3);
+  for (size_t c = 0; c < 3; ++c) overflowing.weights(0, c) = 1e308;
+  overflowing.bias = Vec(3, 0.0);
+  const Vec x{10.0, 0.0};
+  for (const Vec& y : {Vec{1.0 / 3, 1.0 / 3, 1.0 / 3}, Vec{1.0, 0.0, 0.0},
+                       Vec{0.0, 0.0, 0.0}, Vec{nan, nan, nan}}) {
+    EXPECT_FALSE(ModelExplains(overflowing, x, y, kTol));
+    EXPECT_FALSE(ModelExplains(overflowing, x, y, 1.0));
+  }
+  // A finite model against a NaN answer, wholly or in one class.
+  util::Rng rng(13);
+  const api::LocalLinearModel finite = RandomModel(2, 3, 1.0, &rng);
+  const Vec y = api::EvaluateLocalModel(finite, x);
+  ASSERT_TRUE(ModelExplains(finite, x, y, kTol));
+  EXPECT_FALSE(ModelExplains(finite, x, Vec{nan, nan, nan}, kTol));
+  for (size_t k = 0; k < 3; ++k) {
+    Vec partial = y;
+    partial[k] = nan;
+    EXPECT_FALSE(ModelExplains(finite, x, partial, 1.0));
+  }
+  // The screen may pass a NaN answer (its survivors need only contain
+  // the exact matches, and there are none): it must not crash on one.
+  RegionScreen screen(2);
+  screen.Set(0, finite, y);
+  screen.Set(1, overflowing, y);
+  std::vector<size_t> survivors;
+  screen.Collect(x, Vec{nan, nan, nan}, kTol, 2, &survivors);
+  EXPECT_TRUE(std::is_sorted(survivors.begin(), survivors.end()));
 }
 
 }  // namespace

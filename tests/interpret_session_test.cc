@@ -492,6 +492,55 @@ TEST(SessionEvictionTest, ByteBudgetSessionRemembersEarlyEvictions) {
   EXPECT_EQ(session->stats().queries, api.query_count());
 }
 
+TEST(SessionEvictionTest, EvictedRegionsKeysLeaveThePointMemo) {
+  // An exact repeat is a point-memo hit for 0 queries. Evicting a region
+  // drops every memo key filed under it: none of its 101 points is a
+  // memo hit afterwards, and the memo gauge is back to one key's worth.
+  const size_t d = 4, num_classes = 3, k = 4;
+  util::Rng model_rng(14);
+  GridPlm grid(d, num_classes, k, &model_rng);
+  api::PredictionApi api(&grid);
+  EngineConfig config;
+  config.num_threads = 1;
+  InterpretationEngine engine(config);
+  auto session = engine.OpenSession(api, /*cache_capacity=*/1);
+
+  uint64_t stream = 0;
+  const Vec center = grid.NthCellCenter(0);
+  ASSERT_TRUE(
+      session->Interpret({center, 0, {}}, 31, stream++).result.ok());
+  const uint64_t one_key_bytes = session->stats().memo_bytes;
+  std::vector<Vec> points{center};
+  for (int i = 1; i <= 100; ++i) {
+    Vec x = center;
+    x[0] += 1e-9 * static_cast<double>(i);
+    auto hit = session->Interpret({x, 1, {}}, 31, stream++);
+    ASSERT_TRUE(hit.result.ok());
+    EXPECT_EQ(hit.cache_outcome, CacheOutcome::kMemoryHit);
+    EXPECT_EQ(hit.queries, 2u);
+    points.push_back(x);
+  }
+  for (const Vec& x : points) {
+    auto repeat = session->Interpret({x, 2, {}}, 31, stream++);
+    ASSERT_TRUE(repeat.result.ok());
+    EXPECT_EQ(repeat.cache_outcome, CacheOutcome::kPointMemo);
+    EXPECT_EQ(repeat.queries, 0u);
+  }
+  EXPECT_GT(session->stats().memo_bytes, one_key_bytes);
+
+  // Capacity 1: the next region evicts the first and all its keys.
+  ASSERT_TRUE(session->Interpret({grid.NthCellCenter(1), 0, {}}, 31, stream++)
+                  .result.ok());
+  EXPECT_EQ(session->stats().memo_bytes, one_key_bytes);
+  for (const Vec& x : points) {
+    auto after = session->Interpret({x, 0, {}}, 31, stream++);
+    ASSERT_TRUE(after.result.ok());
+    EXPECT_NE(after.cache_outcome, CacheOutcome::kPointMemo);
+    EXPECT_GE(after.queries, 2u);
+  }
+  EXPECT_EQ(session->stats().queries, api.query_count());
+}
+
 // ---------------------------------------------------------------------------
 // Endpoint isolation
 // ---------------------------------------------------------------------------
