@@ -23,6 +23,10 @@
 //     PredictBatch per batch, the pre-chunking dispatch). The acceptance
 //     bar is overhead < 3% on fast endpoints — chunk planning must be in
 //     the noise.
+//   * ScreenCollect                  — one warm RegionScreen::Collect
+//     pass (the true miss's proof that no cached region explains the
+//     answer, no extraction) over 10^3..10^5 slots at d = 8, C = 10;
+//     bytes_per_slot is the row footprint the pass streams.
 //   * InterpretEndToEnd              — the headline number: uncached
 //     interpretations/sec straight through OpenApiInterpreter (fresh x0
 //     every iteration, no engine cache), SIMD + pooled workspace +
@@ -33,6 +37,7 @@
 
 #include "bench_common.h"
 #include "bench_perf_csv.h"
+#include "interpret/region_screen.h"
 
 namespace openapi::bench {
 namespace {
@@ -196,6 +201,48 @@ void PlnnForwardBatch(benchmark::State& state) {
       static_cast<int64_t>(state.iterations() * batch));
 }
 BENCHMARK(PlnnForwardBatch)->Arg(32)->Arg(128)->Arg(256)->Arg(512)->Arg(2048);
+
+// --- The miss-path log-odds screen. ---
+
+// n random regions (the serving benchmark's lookup shape, d = 8, C = 10)
+// screened against the answer of a region that is NOT cached: every pass
+// streams all n rows and almost nothing survives, as on a true miss.
+void ScreenCollect(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t d = 8, c = 10;
+  util::Rng rng(kBenchSeed);
+  auto random_model = [&] {
+    api::LocalLinearModel model;
+    model.weights = RandomMatrix(d, c, &rng);
+    model.bias = rng.UniformVector(c, -0.5, 0.5);
+    model.bias[rng.Index(c)] += 4.0;
+    return model;
+  };
+  interpret::RegionScreen screen(d);
+  for (size_t slot = 0; slot < n; ++slot) {
+    const api::LocalLinearModel model = random_model();
+    screen.Set(slot, model,
+               api::EvaluateLocalModel(model, rng.UniformVector(d, 0.0, 1.0)));
+  }
+  const Vec x0 = rng.UniformVector(d, 0.0, 1.0);
+  const Vec y0 = api::EvaluateLocalModel(random_model(), x0);
+  std::vector<size_t> survivors;
+  for (auto _ : state) {
+    survivors.clear();
+    screen.Collect(x0, y0, interpret::EngineConfig().match_tol, n,
+                   &survivors);
+    benchmark::DoNotOptimize(survivors.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
+  state.counters["bytes_per_slot"] =
+      static_cast<double>(interpret::RegionScreen::BytesPerSlot(d));
+  state.counters["survivors"] = static_cast<double>(survivors.size());
+}
+BENCHMARK(ScreenCollect)
+    ->Unit(benchmark::kMicrosecond)
+    ->Arg(1'000)
+    ->Arg(10'000)
+    ->Arg(100'000);
 
 // --- Solver workspace pooling and chunked dispatch. ---
 

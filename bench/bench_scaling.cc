@@ -22,6 +22,9 @@
 //     (recovery replay + directory rebuild) on restart;
 //   * MissAtScale — a true RAM miss (screened fallback + extraction)
 //     against 10^3..10^5 imported regions;
+//   * DiskLookupAtScale — the disk tier's reload lookup alone
+//     (RegionStore::CollectCandidates plus one Read) over a 10^3..10^5
+//     record log;
 //   * RetryOverhead — the audit workload through a FaultInjectingApi at
 //     0% / 1% / 5% injected transient failures: what budget-aware
 //     retries cost when the endpoint flakes (0% prices the machinery).
@@ -706,6 +709,79 @@ void StoreLogReload(benchmark::State& state) {
   state.counters["regions"] = static_cast<double>(recovered);
   (void)util::RemoveFile(path);  // best-effort scratch cleanup
 }
+
+// The disk tier's lookup at scale: a log of n grid-cell records (box =
+// the cell, the same shape ImportRegion persists), reopened, then one
+// RegionStore::CollectCandidates plus a Read of the first candidate per
+// iteration at a fresh point inside a cell visited in multiplicative-hash
+// order — what a kDiskHit pays before revalidation. Records are Put
+// straight into the store (no session), so only the store is timed.
+void DiskLookupAtScale(benchmark::State& state) {
+  const size_t target_regions = static_cast<size_t>(state.range(0));
+  const size_t k = static_cast<size_t>(
+      std::llround(std::sqrt(static_cast<double>(target_regions))));
+  const size_t d = 8, c = 10;
+  util::Rng model_rng(kBenchSeed);
+  GridPlm grid(d, c, k, &model_rng);
+  const std::string path = StoreBenchPath(target_regions);
+  (void)util::RemoveFile(path);  // best-effort scratch cleanup
+  {
+    auto store = store::RegionStore::Open(path, d, c);
+    if (!store.ok()) {
+      state.SkipWithError(store.status().ToString().c_str());
+      return;
+    }
+    for (size_t cell = 0; cell < k * k; ++cell) {
+      store::RegionRecord record;
+      record.fingerprint = cell + 1;
+      record.argmax = static_cast<uint32_t>(cell % c);
+      record.anchor = grid.CellCenter(cell / k, cell % k);
+      record.lo = record.anchor;
+      record.hi = record.anchor;
+      for (size_t j = 0; j < d; ++j) {
+        record.lo[j] -= grid.CellHalfEdge();
+        record.hi[j] += grid.CellHalfEdge();
+      }
+      record.model = grid.CellModel(cell / k, cell % k);
+      OPENAPI_CHECK(store->get()->Put(record).ok());
+    }
+    OPENAPI_CHECK(store->get()->Flush().ok());
+  }
+  auto store = store::RegionStore::Open(path, d, c);
+  if (!store.ok()) {
+    state.SkipWithError(store.status().ToString().c_str());
+    return;
+  }
+  std::vector<uint64_t> offsets;
+  uint64_t next = 0;
+  uint64_t candidates = 0;
+  for (auto _ : state) {
+    const size_t cell =
+        static_cast<size_t>(((next % (k * k) + 1) * 2654435761ULL) % (k * k));
+    ++next;
+    Vec x0 = grid.CellCenter(cell / k, cell % k);
+    x0[2] += 1e-13 * static_cast<double>(next);
+    offsets.clear();
+    store->get()->CollectCandidates(x0, cell % c, &offsets);
+    OPENAPI_CHECK(!offsets.empty());
+    auto record = store->get()->Read(offsets.front());
+    OPENAPI_CHECK(record.ok());
+    candidates += offsets.size();
+    benchmark::DoNotOptimize(record);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.counters["regions"] = static_cast<double>(store->get()->size());
+  state.counters["candidates_per_lookup"] =
+      static_cast<double>(candidates) /
+      static_cast<double>(std::max<uint64_t>(1, state.iterations()));
+  store->reset();
+  (void)util::RemoveFile(path);  // best-effort scratch cleanup
+}
+BENCHMARK(DiskLookupAtScale)
+    ->Unit(benchmark::kMicrosecond)
+    ->Arg(1'000)
+    ->Arg(10'000)
+    ->Arg(100'000);
 
 BENCHMARK(StoreColdFill)
     ->Unit(benchmark::kMillisecond)

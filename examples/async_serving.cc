@@ -34,6 +34,8 @@ const char* OutcomeName(interpret::CacheOutcome outcome) {
       return "miss";
     case interpret::CacheOutcome::kEvictedRefetch:
       return "evicted-refetch";
+    case interpret::CacheOutcome::kStaleRefetch:
+      return "stale-refetch";
   }
   return "?";
 }

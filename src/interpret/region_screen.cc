@@ -43,35 +43,61 @@ bool ModelExplains(const api::LocalLinearModel& model, const Vec& x,
   return true;
 }
 
+namespace {
+
+constexpr float kFloatInf = std::numeric_limits<float>::infinity();
+
+/// v as a float: rounded to nearest, ±inf past FLT_MAX (a NaN stays NaN).
+float ToFloat(double v) {
+  if (std::fabs(v) > std::numeric_limits<float>::max()) {
+    return v > 0.0 ? kFloatInf : -kFloatInf;
+  }
+  return static_cast<float>(v);
+}
+
+/// The least float >= m; +inf past FLT_MAX or for a NaN.
+float RoundUpToFloat(double m) {
+  if (!(m <= std::numeric_limits<float>::max())) return kFloatInf;
+  float f = static_cast<float>(m);
+  if (static_cast<double>(f) < m) f = std::nextafter(f, kFloatInf);
+  return f;
+}
+
+}  // namespace
+
 RegionScreen::RegionScreen(size_t dim)
     : dim_(dim),
-      // ~64 KiB of rows per block, a multiple of the 8-wide kernel lane.
+      // ~64 KiB of rows per block, a multiple of the kernel's 16 lanes.
       block_slots_(std::max<size_t>(
-          16, (64u << 10) / (sizeof(double) * (dim + 1)) / 8 * 8)) {}
+          16, (64u << 10) / (sizeof(float) * (dim + 2)) / 16 * 16)) {}
 
 void RegionScreen::Set(size_t slot, const api::LocalLinearModel& model,
                        const Vec& y) {
+  OPENAPI_CHECK_LE(y.size(),
+                   size_t{std::numeric_limits<uint16_t>::max()} + 1);
   const size_t a = linalg::ArgMax(y);
   size_t b = a;
   for (size_t k = 0; k < y.size(); ++k) {
     if (k != a && (b == a || y[k] > y[b])) b = k;
   }
   while (slot >= blocks_.size() * block_slots_) {
-    blocks_.emplace_back(dim_ + 1, block_slots_);
+    blocks_.emplace_back((dim_ + 2) * block_slots_, 0.0f);
   }
-  magnitude_.resize(std::max(magnitude_.size(), slot + 1));
-  classes_.resize(magnitude_.size());
-  linalg::Matrix& block = blocks_[slot / block_slots_];
-  const size_t column = slot % block_slots_;
+  classes_.resize(std::max(classes_.size(), slot + 1));
+  float* column = blocks_[slot / block_slots_].data() + slot % block_slots_;
   double magnitude = std::fabs(model.bias[a]) + std::fabs(model.bias[b]);
   for (size_t j = 0; j < dim_; ++j) {
-    block(j, column) = model.weights(j, a) - model.weights(j, b);
+    column[j * block_slots_] =
+        ToFloat(model.weights(j, a) - model.weights(j, b));
     magnitude +=
         std::fabs(model.weights(j, a)) + std::fabs(model.weights(j, b));
   }
-  block(dim_, column) = model.bias[a] - model.bias[b];
-  magnitude_[slot] = magnitude;
-  classes_[slot] = {static_cast<uint32_t>(a), static_cast<uint32_t>(b)};
+  column[dim_ * block_slots_] = ToFloat(model.bias[a] - model.bias[b]);
+  // The FLT_MIN term covers differences that round to a subnormal float.
+  column[(dim_ + 1) * block_slots_] = RoundUpToFloat(
+      magnitude +
+      static_cast<double>(dim_ + 2) * std::numeric_limits<float>::min());
+  classes_[slot] = {static_cast<uint16_t>(a), static_cast<uint16_t>(b)};
 }
 
 void RegionScreen::Collect(const Vec& x0, const Vec& y0, double match_tol,
@@ -79,6 +105,7 @@ void RegionScreen::Collect(const Vec& x0, const Vec& y0, double match_tol,
                            std::vector<size_t>* survivors) const {
   constexpr double kEps = std::numeric_limits<double>::epsilon();
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kFloatRoundoff = 0x1p-24;
   // τ′: the tolerance, its comparison's rounding, and the softmax's.
   const double tau = match_tol * (1.0 + 4.0 * kEps) +
                      static_cast<double>(y0.size() + 8) * kEps;
@@ -92,20 +119,29 @@ void RegionScreen::Collect(const Vec& x0, const Vec& y0, double match_tol,
   }
   Vec x(x0);
   x.push_back(1.0);
-  const double error = 2.0 * static_cast<double>(dim_ + 2) * kEps *
-                       std::max(1.0, linalg::NormInf(x0));
+  // Accumulation (twice γ(d+2)) plus storage rounding (twice float32's).
+  const double error =
+      (2.0 * static_cast<double>(dim_ + 2) * kEps + 2.0 * kFloatRoundoff) *
+      std::max(1.0, linalg::NormInf(x0));
+  thread_local std::vector<double> values;
+  values.resize(block_slots_);
   for (size_t first = 0; first < num_slots; first += block_slots_) {
-    const Vec values = blocks_[first / block_slots_].MultiplyTransposed(x);
-    const size_t end = std::min(num_slots, first + block_slots_);
-    for (size_t slot = first; slot < end; ++slot) {
-      const auto [a, b] = classes_[slot];
-      const double v = values[slot - first];
-      const double slack = error * magnitude_[slot];
+    const float* block = blocks_[first / block_slots_].data();
+    const size_t count = std::min(num_slots - first, block_slots_);
+    linalg::MultiplyTransposedF32(block, dim_ + 1, block_slots_, count,
+                                  x.data(), values.data());
+    const float* magnitude = block + (dim_ + 1) * block_slots_;
+    const ClassPair* classes = classes_.data() + first;
+    for (size_t i = 0; i < count; ++i) {
+      const double v = values[i];
+      const double slack = error * static_cast<double>(magnitude[i]);
+      const size_t a = classes[i].a;
+      const size_t b = classes[i].b;
       // Written as two rejections so a NaN anywhere passes.
       if (v < ln_lo[a] - ln_hi[b] - slack || v > ln_hi[a] - ln_lo[b] + slack) {
         continue;
       }
-      survivors->push_back(slot);
+      survivors->push_back(first + i);
     }
   }
 }

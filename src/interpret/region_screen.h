@@ -30,27 +30,45 @@
 //
 // ## Layout and cost
 //
-// Rows are stored feature-major: blocks of `(d+1) x block_slots`
-// linalg::Matrix, column = slot. Screening a block is one
-// MultiplyTransposed([x0; 1]) — the SIMD kernel whose kReference leg is
-// bit-identical — so the values come out slot-contiguous with no
-// dependent add chain per row. Blocks are fixed-size and never copied on
-// growth (a doubling matrix would hold two copies at its peak).
+// A true miss streams every cached slot's row, and between misses the
+// rows go cold, so the screen's cost is mostly the bytes it reads; its
+// branches cost little (survivors are rare and well predicted). Each
+// slot costs 4(d+2) + 4 bytes: slots are
+// grouped into fixed-size blocks, and each block is ONE contiguous
+// float32 array of d+2 rows, column = slot — the d weight differences
+// W_a - W_b, the bias difference b_a - b_b, and the magnitude M (below)
+// rounded up to a float — beside a per-slot pair of uint16_t class
+// indices. Screening a block is one linalg::MultiplyTransposedF32 pass
+// over its first d+1 rows with [x0; 1] (a lane kernel whose kReference
+// leg is bit-identical) into per-thread scratch, then one pass over the
+// values, the M row and the pairs. Blocks hold ~64 KiB of rows and are
+// never copied on growth (a doubling array would hold two copies at its
+// peak).
 //
 // ## Why it never rejects a match
 //
-// The computed value v differs from the exact predicate's computed
-// logit difference by at most 2·γ(d+2)·M·max(1, |x0|∞), where
-// γ(n) = n·u/(1 - n·u), u is the unit roundoff, and M (stored per slot)
-// is the L1 norm of the two weight columns and biases: each side is an
-// inner product of length d+1 with recursive summation. The screen widens
-// every interval by 2(d+2)·ε·M·max(1, |x0|∞) with ε = 2u (twice the
-// bound), and each log endpoint by 4ε(1 + |ln|) for its own rounding.
-// A NaN value passes. Only slots that pass go on to the exact 2-point
-// predicate, in ascending slot order, so the first match — the decision
-// — is the unscreened scan's. A vacated slot's stale row can only add a
-// survivor, which the caller's occupancy check drops, so eviction leaves
-// rows alone.
+// Widening a float to a double is exact, and the screen accumulates in
+// double in the predicate's row order (the d weights, then the bias), so
+// the double-precision analysis holds for the stored rows. The computed
+// value v differs from the exact predicate's computed logit difference
+// by at most 2·γ(d+2)·M·max(1, |x0|∞), where γ(n) = n·u/(1 - n·u), u is
+// the unit roundoff, and M is the L1 norm of the two weight columns and
+// biases: each side is an inner product of length d+1 with recursive
+// summation. Storing the differences as floats adds at most about
+// 2⁻²⁴·M·max(1, |x0|∞) (float32's unit roundoff on each term; M also
+// carries (d+2)·FLT_MIN so subnormal differences stay covered). The
+// screen widens every interval by
+//   (2(d+2)·ε + 2·2⁻²⁴)·M·max(1, |x0|∞)
+// with ε = 2u — twice each bound — and each log endpoint by
+// 4ε(1 + |ln|) for its own rounding. M is rounded UP to a float, and
+// when it exceeds FLT_MAX it is stored as +inf, so its slack is infinite
+// and the slot always survives (a difference past FLT_MAX is stored as
+// an infinity, whose value may be ±inf or NaN). A NaN value passes.
+// Only slots that pass go on to the exact 2-point predicate, in
+// ascending slot order, so the first match — the decision — is the
+// unscreened scan's. A vacated slot's stale row can only add a survivor,
+// which the caller's occupancy check drops, so eviction leaves rows
+// alone.
 //
 // ## Concurrency
 //
@@ -63,7 +81,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "api/plm.h"
@@ -85,12 +102,12 @@ class RegionScreen {
 
   /// Resident bytes one slot's screen state pins (row, magnitude, pair).
   static size_t BytesPerSlot(size_t dim) {
-    return sizeof(double) * (dim + 2) + sizeof(std::pair<uint32_t, uint32_t>);
+    return sizeof(float) * (dim + 2) + sizeof(ClassPair);
   }
 
   /// Writes slot's row from `model`, paired on the top two classes of `y`,
   /// a prediction at a point the region contains (any y keeps the screen
-  /// conservative).
+  /// conservative). At most 65536 classes.
   void Set(size_t slot, const api::LocalLinearModel& model, const Vec& y);
 
   /// Appends, in ascending order, every slot below `num_slots` whose row
@@ -100,19 +117,27 @@ class RegionScreen {
   void Collect(const Vec& x0, const Vec& y0, double match_tol,
                size_t num_slots, std::vector<size_t>* survivors) const;
 
+  /// Slots per block: the granularity rows are allocated and screened in.
+  size_t block_slots() const { return block_slots_; }
+
   /// Drops every row.
   void Clear() {
     blocks_.clear();
-    magnitude_.clear();
     classes_.clear();
   }
 
  private:
+  struct ClassPair {
+    uint16_t a;
+    uint16_t b;
+  };
+
   size_t dim_;
   size_t block_slots_;
-  std::vector<linalg::Matrix> blocks_;
-  Vec magnitude_;
-  std::vector<std::pair<uint32_t, uint32_t>> classes_;
+  // Block k holds slots [k·block_slots_, (k+1)·block_slots_): d+2 rows of
+  // block_slots_ floats each, row-major (layout above).
+  std::vector<std::vector<float>> blocks_;
+  std::vector<ClassPair> classes_;
 };
 
 }  // namespace openapi::interpret

@@ -51,6 +51,17 @@ template <>
 struct LaneReg<8> {
   typedef double Type __attribute__((vector_size(64), aligned(8)));
 };
+/// The float32 counterparts, the source of LoadWidened's conversion.
+template <std::size_t N>
+struct FloatReg;
+template <>
+struct FloatReg<4> {
+  typedef float Type __attribute__((vector_size(16), aligned(4)));
+};
+template <>
+struct FloatReg<8> {
+  typedef float Type __attribute__((vector_size(32), aligned(4)));
+};
 #endif
 
 /// N doubles processed in lockstep. Supported widths: 4 and 8.
@@ -64,6 +75,19 @@ struct Lanes {
   static Lanes Load(const double* p) {
     Lanes out;
     std::memcpy(&out.v, p, sizeof(out.v));
+    return out;
+  }
+
+  /// N floats widened to doubles (exact: every float is a double).
+  static Lanes LoadWidened(const float* p) {
+    Lanes out;
+#if defined(OPENAPI_SIMD_VECTOR_EXTENSIONS)
+    typename FloatReg<N>::Type narrow;
+    std::memcpy(&narrow, p, sizeof(narrow));
+    out.v = __builtin_convertvector(narrow, Reg);
+#else
+    for (std::size_t i = 0; i < N; ++i) out.v.lane[i] = p[i];
+#endif
     return out;
   }
 

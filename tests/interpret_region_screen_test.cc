@@ -275,6 +275,169 @@ TEST(RegionScreenTest, SpansManyBlocks) {
   EXPECT_LT(survivors.size(), 2 * expected.size());
 }
 
+/// Collect under both kernel policies; asserts identical survivors, in
+/// ascending order and all below `num_slots`, and returns them.
+std::vector<size_t> CollectBothPolicies(const RegionScreen& screen,
+                                        const Vec& x0, const Vec& y0,
+                                        size_t num_slots) {
+  std::vector<size_t> survivors;
+  screen.Collect(x0, y0, kTol, num_slots, &survivors);
+  linalg::SetKernelPolicy(linalg::KernelPolicy::kReference);
+  std::vector<size_t> reference;
+  screen.Collect(x0, y0, kTol, num_slots, &reference);
+  linalg::SetKernelPolicy(linalg::KernelPolicy::kSimd);
+  EXPECT_EQ(survivors, reference);
+  EXPECT_TRUE(std::is_sorted(survivors.begin(), survivors.end()));
+  EXPECT_TRUE(survivors.empty() || survivors.back() < num_slots);
+  return survivors;
+}
+
+TEST(RegionScreenTest, FloatRoundedRowsKeepMatches) {
+  // Rows are stored as float32. These weight differences are not floats,
+  // so storing them moves the screened log-odds by up to ~2^-24 of the
+  // row's magnitude — far more than the 1e-9 tolerance's interval — and
+  // only the storage-rounding slack keeps the exact match a survivor.
+  // |x0|∞ > 1 exercises the slack's max(1, |x0|∞) scale.
+  util::Rng rng(14);
+  const size_t d = 6, num_classes = 4;
+  size_t exact = 0;
+  for (size_t trial = 0; trial < 50; ++trial) {
+    api::LocalLinearModel model;
+    model.weights = linalg::Matrix(d, num_classes);
+    for (size_t j = 0; j < d; ++j) {
+      for (size_t c = 0; c < num_classes; ++c) {
+        // A float-representable part plus an odd multiple of a class-
+        // specific power of two near 2^-40: the pair's differences need
+        // ~40 significant bits, far more than a float's 24.
+        model.weights(j, c) =
+            static_cast<float>(rng.Uniform(-0.4, 0.4)) +
+            std::ldexp(static_cast<double>(2 * (j * num_classes + c) + 1),
+                       -40 - static_cast<int>(c));
+      }
+    }
+    model.bias = rng.UniformVector(num_classes, -1.0, 1.0);
+    const Vec x0 = rng.UniformVector(d, -3.0, 3.0);
+    const Vec y = api::EvaluateLocalModel(model, x0);
+    RegionScreen screen(d);
+    screen.Set(0, model, y);
+    for (double factor : {0.5, 1.0 - 1e-6}) {
+      for (int pattern : {1, -1, 0}) {
+        const Vec y0 = Perturb(y, factor * kTol, pattern, &rng);
+        ASSERT_TRUE(ModelExplains(model, x0, y0, kTol));
+        ++exact;
+        EXPECT_EQ(CollectBothPolicies(screen, x0, y0, 1),
+                  (std::vector<size_t>{0}))
+            << "trial " << trial << " factor " << factor;
+      }
+    }
+  }
+  EXPECT_EQ(exact, 300u);
+}
+
+TEST(RegionScreenTest, WeightsPastFloatMaxAlwaysSurvive) {
+  // A weight of ±1e39 overflows float32: its difference is stored as an
+  // infinity and its magnitude as +inf. At x0[0] = 1e-39 the region's
+  // log-odds are moderate and it matches its own answer exactly, while
+  // the screened value is ±inf — only the infinite slack keeps it. The
+  // slot survives any answer, matching or not.
+  util::Rng rng(15);
+  const size_t d = 3, num_classes = 3;
+  const Vec x0{1e-39, 0.4, -0.2};
+  for (double huge : {1e39, -1e39}) {
+    for (size_t column : {0, 1}) {  // in the pair's top or runner-up class
+      api::LocalLinearModel model = RandomModel(d, num_classes, 1.0, &rng);
+      model.bias = {4.0, 1.5, -3.0};  // classes 0 and 1 are the pair
+      model.weights(0, column) = huge;
+      const Vec y = api::EvaluateLocalModel(model, x0);
+      ASSERT_EQ(linalg::ArgMax(y), 0u);
+      ASSERT_TRUE(ModelExplains(model, x0, y, 0.0));
+      RegionScreen screen(d);
+      const api::LocalLinearModel plain =
+          RandomModel(d, num_classes, 1.0, &rng);
+      screen.Set(0, plain, api::EvaluateLocalModel(plain, x0));
+      screen.Set(1, model, y);
+      for (const Vec& y0 :
+           {y, Perturb(y, 0.5 * kTol, 1, &rng),
+            Perturb(y, (1.0 - 1e-6) * kTol, -1, &rng),
+            Vec{1.0 / 3, 1.0 / 3, 1.0 / 3}, Vec{0.05, 0.9, 0.05}}) {
+        const std::vector<size_t> survivors =
+            CollectBothPolicies(screen, x0, y0, 2);
+        EXPECT_TRUE(std::binary_search(survivors.begin(), survivors.end(),
+                                       size_t{1}))
+            << "huge " << huge << " column " << column;
+      }
+    }
+  }
+}
+
+TEST(RegionScreenTest, BlockBoundariesKeepOrderAndRange) {
+  // num_slots one below, at, and one past a block's slot count: survivors
+  // are ascending, all below num_slots, and include every match — the
+  // first slot, both sides of the block boundary, and the last slot.
+  // Slots past num_slots that were Set (or a block's unset tail) are
+  // never returned.
+  util::Rng rng(16);
+  const size_t d = 3, num_classes = 3;
+  RegionScreen screen(d);
+  const size_t block = screen.block_slots();
+  ASSERT_GE(block, 16u);
+  const api::LocalLinearModel target = RandomModel(d, num_classes, 1.0, &rng);
+  const Vec x0 = rng.UniformVector(d, 0.0, 1.0);
+  const Vec y0 = api::EvaluateLocalModel(target, x0);
+  for (size_t num_slots : {block - 1, block, block + 1}) {
+    RegionScreen sized(d);
+    std::vector<size_t> expected;
+    for (size_t slot = 0; slot < num_slots + 2; ++slot) {
+      const bool match = slot % 101 == 0 || slot + 2 >= block ||
+                         slot + 1 >= num_slots;
+      const api::LocalLinearModel model =
+          match ? target : RandomModel(d, num_classes, 1.0, &rng);
+      sized.Set(slot, model, api::EvaluateLocalModel(model, x0));
+      if (match && slot < num_slots) expected.push_back(slot);
+    }
+    const std::vector<size_t> survivors =
+        CollectBothPolicies(sized, x0, y0, num_slots);
+    for (size_t slot : expected) {
+      EXPECT_TRUE(std::binary_search(survivors.begin(), survivors.end(), slot))
+          << "num_slots " << num_slots << " slot " << slot;
+    }
+    EXPECT_LT(survivors.size(), 2 * expected.size());
+  }
+}
+
+TEST(RegionScreenTest, KernelPoliciesAgreeOnEveryTail) {
+  // Slot counts that end in each leg of the lane kernel (16-wide, 4-wide,
+  // scalar) and dimensions from 1 to past a cache line of floats: the
+  // kSimd and kReference legs return identical survivors, and enough of
+  // them (near copies of the target) that a diverging leg shows.
+  util::Rng rng(17);
+  for (size_t d : {1, 2, 7, 20}) {
+    const size_t num_classes = 4;
+    const api::LocalLinearModel target =
+        RandomModel(d, num_classes, 1.0, &rng);
+    RegionScreen screen(d);
+    for (size_t slot = 0; slot < 64; ++slot) {
+      const api::LocalLinearModel model =
+          slot % 3 == 0 ? NearCopy(target, &rng)
+                        : RandomModel(d, num_classes, 1.0, &rng);
+      screen.Set(slot, model,
+                 api::EvaluateLocalModel(model,
+                                         rng.UniformVector(d, 0.0, 1.0)));
+    }
+    for (size_t request = 0; request < 10; ++request) {
+      const Vec x0 = rng.UniformVector(d, -1.5, 1.5);
+      const Vec y0 = Perturb(api::EvaluateLocalModel(target, x0),
+                             0.5 * kTol, 0, &rng);
+      for (size_t num_slots = 1; num_slots <= 64; ++num_slots) {
+        const std::vector<size_t> survivors =
+            CollectBothPolicies(screen, x0, y0, num_slots);
+        ASSERT_FALSE(survivors.empty());
+        EXPECT_EQ(survivors.front(), 0u);
+      }
+    }
+  }
+}
+
 TEST(ModelExplainsTest, BitIdenticalToEvaluateLocalModel) {
   // At tolerance 0 a model explains exactly its own EvaluateLocalModel
   // output, so the predicate's probabilities match it bit for bit —
