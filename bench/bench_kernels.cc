@@ -27,6 +27,9 @@
 //     pass (the true miss's proof that no cached region explains the
 //     answer, no extraction) over 10^3..10^5 slots at d = 8, C = 10;
 //     bytes_per_slot is the row footprint the pass streams.
+//   * ScreenCollectCold              — the same pass with the rows
+//     evicted from L2 before each pass (untimed), as a serving miss
+//     finds them; ns_per_slot is the cost per screened slot.
 //   * InterpretEndToEnd              — the headline number: uncached
 //     interpretations/sec straight through OpenApiInterpreter (fresh x0
 //     every iteration, no engine cache), SIMD + pooled workspace +
@@ -34,6 +37,9 @@
 //     kernels with per-request allocation and unchunked dispatch.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "bench_common.h"
 #include "bench_perf_csv.h"
@@ -207,38 +213,87 @@ BENCHMARK(PlnnForwardBatch)->Arg(32)->Arg(128)->Arg(256)->Arg(512)->Arg(2048);
 // n random regions (the serving benchmark's lookup shape, d = 8, C = 10)
 // screened against the answer of a region that is NOT cached: every pass
 // streams all n rows and almost nothing survives, as on a true miss.
+struct ScreenFixture {
+  static constexpr size_t kDim = 8;
+  static constexpr size_t kClasses = 10;
+
+  explicit ScreenFixture(size_t n) : screen(kDim) {
+    util::Rng rng(kBenchSeed);
+    auto random_model = [&] {
+      api::LocalLinearModel model;
+      model.weights = RandomMatrix(kDim, kClasses, &rng);
+      model.bias = rng.UniformVector(kClasses, -0.5, 0.5);
+      model.bias[rng.Index(kClasses)] += 4.0;
+      return model;
+    };
+    for (size_t slot = 0; slot < n; ++slot) {
+      const api::LocalLinearModel model = random_model();
+      screen.Set(slot, model,
+                 api::EvaluateLocalModel(
+                     model, rng.UniformVector(kDim, 0.0, 1.0)));
+    }
+    x0 = rng.UniformVector(kDim, 0.0, 1.0);
+    y0 = api::EvaluateLocalModel(random_model(), x0);
+  }
+
+  void Collect(size_t n, std::vector<size_t>* survivors) const {
+    survivors->clear();
+    screen.Collect(x0, y0, interpret::EngineConfig().match_tol, n,
+                   survivors);
+    benchmark::DoNotOptimize(survivors->data());
+  }
+
+  void Report(benchmark::State& state, size_t n,
+              const std::vector<size_t>& survivors) const {
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
+    state.counters["bytes_per_slot"] =
+        static_cast<double>(interpret::RegionScreen::BytesPerSlot(kDim));
+    state.counters["ns_per_slot"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * n),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    state.counters["survivors"] = static_cast<double>(survivors.size());
+  }
+
+  interpret::RegionScreen screen;
+  Vec x0;
+  Vec y0;
+};
+
+// Warm: the rows stay in cache between passes.
 void ScreenCollect(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const size_t d = 8, c = 10;
-  util::Rng rng(kBenchSeed);
-  auto random_model = [&] {
-    api::LocalLinearModel model;
-    model.weights = RandomMatrix(d, c, &rng);
-    model.bias = rng.UniformVector(c, -0.5, 0.5);
-    model.bias[rng.Index(c)] += 4.0;
-    return model;
-  };
-  interpret::RegionScreen screen(d);
-  for (size_t slot = 0; slot < n; ++slot) {
-    const api::LocalLinearModel model = random_model();
-    screen.Set(slot, model,
-               api::EvaluateLocalModel(model, rng.UniformVector(d, 0.0, 1.0)));
-  }
-  const Vec x0 = rng.UniformVector(d, 0.0, 1.0);
-  const Vec y0 = api::EvaluateLocalModel(random_model(), x0);
+  const ScreenFixture fixture(n);
   std::vector<size_t> survivors;
-  for (auto _ : state) {
-    survivors.clear();
-    screen.Collect(x0, y0, interpret::EngineConfig().match_tol, n,
-                   &survivors);
-    benchmark::DoNotOptimize(survivors.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
-  state.counters["bytes_per_slot"] =
-      static_cast<double>(interpret::RegionScreen::BytesPerSlot(d));
-  state.counters["survivors"] = static_cast<double>(survivors.size());
+  for (auto _ : state) fixture.Collect(n, &survivors);
+  fixture.Report(state, n, survivors);
 }
 BENCHMARK(ScreenCollect)
+    ->Unit(benchmark::kMicrosecond)
+    ->Arg(1'000)
+    ->Arg(10'000)
+    ->Arg(100'000);
+
+// Cold: before each pass, untimed, 16 MiB of other data is written, which
+// evicts the rows from L1 and L2 (and most of them from a small L3) — the
+// pass a serving miss pays, since misses are rare and the rows go cold
+// between them.
+void ScreenCollectCold(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const ScreenFixture fixture(n);
+  std::vector<unsigned char> evict(16u << 20);
+  std::vector<size_t> survivors;
+  unsigned char tick = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::fill(evict.begin(), evict.end(), ++tick);
+    benchmark::DoNotOptimize(evict.data());
+    benchmark::ClobberMemory();
+    state.ResumeTiming();
+    fixture.Collect(n, &survivors);
+  }
+  fixture.Report(state, n, survivors);
+}
+BENCHMARK(ScreenCollectCold)
     ->Unit(benchmark::kMicrosecond)
     ->Arg(1'000)
     ->Arg(10'000)

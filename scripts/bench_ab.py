@@ -10,9 +10,12 @@ runs `servebench/run.py` once from each checkout, alternating which one goes
 first, so a change in the host's speed lands on both sides. Each run
 builds its own checkout's benchmark first (incrementally after the first
 run). It then prints, per workload and end-to-end metric, the median and
-quartiles of each side, the median change, and on how many pairs HEAD was
-better. A gain counts as clear here when HEAD wins at least 9 of 10 pairs
-and its median beats BASE's by more than BASE's interquartile range.
+quartiles of each side, the median change, on how many pairs HEAD was
+better, and a verdict against each metric's bound in HEAD's BENCHMARK.json:
+"clear gain" (HEAD wins at least 9 of 10 pairs and its median beats BASE's
+by more than BASE's interquartile range), "REGRESSED" (HEAD's median is
+worse by more than the bound) or "unresolved" (BASE's own spread exceeds
+the bound).
 """
 
 import argparse
@@ -25,15 +28,47 @@ import sys
 RUN_TIMEOUT_S = 1800  # the first run of a checkout also builds it
 
 
-def load_directions(checkout):
-    """Metric name -> "lower"/"higher" from the checkout's BENCHMARK.json."""
+def load_metrics(checkout):
+    """Metric name -> (better, bound) from the checkout's BENCHMARK.json.
+
+    `better` is "lower" or "higher"; `bound` is the fraction by which the
+    metric may worsen before a change counts as a regression (None if the
+    file gives none).
+    """
     path = os.path.join(checkout, "BENCHMARK.json")
     try:
         with open(path) as f:
             spec = json.load(f)
     except (OSError, ValueError):
         return {}
-    return {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
+    return {m["name"]: (m["better"], m.get("bound"))
+            for m in spec.get("end_to_end", [])}
+
+
+def verdict(base, head, higher, bound):
+    """One row's verdict against BASE, or "" when there is nothing to say.
+
+    "clear gain": HEAD wins at least 9 of 10 pairs and its median beats
+    BASE's by more than BASE's interquartile range. "unresolved": BASE's
+    own spread (IQR over median) exceeds the bound, so a regression of the
+    bound's size could not be told from noise, unless every HEAD run beats
+    every BASE run. "REGRESSED": HEAD's median is worse than BASE's by
+    more than the bound.
+    """
+    b1, bm, b3 = quartiles(base)
+    _, hm, _ = quartiles(head)
+    wins = sum((h > b) if higher else (h < b) for b, h in zip(base, head))
+    gain = (hm - bm) if higher else (bm - hm)
+    if wins * 10 >= 9 * len(base) and gain > (b3 - b1):
+        return "clear gain"
+    if bound is None or bm == 0:
+        return ""
+    all_better = (min(head) > max(base)) if higher else (max(head) < min(base))
+    if (b3 - b1) / abs(bm) > bound and not all_better:
+        return "unresolved"
+    if -gain / abs(bm) > bound:
+        return "REGRESSED"
+    return ""
 
 
 def run_once(checkout, workload, seed, seconds, trace):
@@ -79,7 +114,7 @@ def main():
     for side, path in checkouts.items():
         if not os.path.isfile(os.path.join(path, "servebench", "run.py")):
             parser.error(f"{side} {path} has no servebench/run.py")
-    directions = load_directions(checkouts["head"])
+    metrics = load_metrics(checkouts["head"])
 
     # runs[workload] = list of (seed, base metrics, head metrics)
     runs = {w: [] for w in args.workloads}
@@ -107,16 +142,16 @@ def main():
             head = [r[2][name] for r in rows]
             b1, bm, b3 = quartiles(base)
             h1, hm, h3 = quartiles(head)
-            higher = directions.get(name, "lower") == "higher"
+            better, bound = metrics.get(name, ("lower", None))
+            higher = better == "higher"
             wins = sum((h > b) if higher else (h < b)
                        for b, h in zip(base, head))
             change = (hm - bm) / bm * 100.0 if bm else 0.0
-            gain = (hm - bm) if higher else (bm - hm)
-            clear = wins * 10 >= 9 * len(rows) and gain > (b3 - b1)
+            note = verdict(base, head, higher, bound)
             print(f"  {name:<20} {bm:>12.6g} [{b1:.6g}, {b3:.6g}]"
                   f"{'':>2} {hm:>12.6g} [{h1:.6g}, {h3:.6g}]"
                   f"{'':>2} {change:>+7.1f}% {wins:>5}/{len(rows)}"
-                  f"{'  clear gain' if clear else ''}")
+                  f"{'  ' + note if note else ''}")
 
     if args.json_out:
         with open(args.json_out, "w") as f:

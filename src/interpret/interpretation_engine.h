@@ -163,7 +163,9 @@ namespace openapi::interpret {
 struct EngineRequest {
   Vec x0;
   size_t c = 0;
-  RequestOptions options;
+  // `{}` so the common `EngineRequest{x0, c}` initializes every member
+  // explicitly (GCC's -Wmissing-field-initializers).
+  RequestOptions options{};
 };
 
 struct EngineConfig {

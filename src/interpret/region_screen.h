@@ -30,42 +30,68 @@
 //
 // ## Layout and cost
 //
-// A true miss streams every cached slot's row, and between misses the
-// rows go cold, so the screen's cost is mostly the bytes it reads; its
-// branches cost little (survivors are rare and well predicted). Each
-// slot costs 4(d+2) + 4 bytes: slots are
-// grouped into fixed-size blocks, and each block is ONE contiguous
-// float32 array of d+2 rows, column = slot — the d weight differences
-// W_a - W_b, the bias difference b_a - b_b, and the magnitude M (below)
-// rounded up to a float — beside a per-slot pair of uint16_t class
-// indices. Screening a block is one linalg::MultiplyTransposedF32 pass
-// over its first d+1 rows with [x0; 1] (a lane kernel whose kReference
-// leg is bit-identical) into per-thread scratch, then one pass over the
-// values, the M row and the pairs. Blocks hold ~64 KiB of rows and are
-// never copied on growth (a doubling array would hold two copies at its
-// peak).
+// Each slot costs 4(d+2) + 4 bytes: slots are grouped into fixed-size
+// blocks, and each block is ONE contiguous float32 array of d+2 rows,
+// column = slot — the d weight differences W_a - W_b, the bias difference
+// b_a - b_b, and the magnitude M (below) rounded up to a float — beside a
+// per-slot pair of uint16_t class indices. Blocks hold ~64 KiB of rows
+// and are never copied on growth (a doubling array would hold two copies
+// at its peak).
+//
+// Collect makes ONE pass over 16-slot tiles, all in float32 lanes: it
+// accumulates the tile's d+1 rows against x0 rounded to float (x_f, with
+// x_f[d] = 1), looks up each slot's interval ends in per-query float
+// tables of the log bounds per class, widens them by the slot's slack,
+// and keeps a lane mask of rejections; only a tile with a surviving lane
+// touches the survivor list. The tables are O(C) for any C up to 65536;
+// with at most 32 classes each sits in two registers and a lookup is one
+// lane permute, otherwise each lane reads its entries from memory. The
+// pass streams the rows with a few float operations per slot, so a cold
+// pass costs little more than a warm one. The kReference leg runs the
+// same float operations slot by slot, so both legs return identical
+// survivors.
 //
 // ## Why it never rejects a match
 //
-// Widening a float to a double is exact, and the screen accumulates in
-// double in the predicate's row order (the d weights, then the bias), so
-// the double-precision analysis holds for the stored rows. The computed
-// value v differs from the exact predicate's computed logit difference
-// by at most 2·γ(d+2)·M·max(1, |x0|∞), where γ(n) = n·u/(1 - n·u), u is
-// the unit roundoff, and M is the L1 norm of the two weight columns and
-// biases: each side is an inner product of length d+1 with recursive
-// summation. Storing the differences as floats adds at most about
-// 2⁻²⁴·M·max(1, |x0|∞) (float32's unit roundoff on each term; M also
-// carries (d+2)·FLT_MIN so subnormal differences stay covered). The
-// screen widens every interval by
-//   (2(d+2)·ε + 2·2⁻²⁴)·M·max(1, |x0|∞)
-// with ε = 2u — twice each bound — and each log endpoint by
-// 4ε(1 + |ln|) for its own rounding. M is rounded UP to a float, and
-// when it exceeds FLT_MAX it is stored as +inf, so its slack is infinite
-// and the slot always survives (a difference past FLT_MAX is stored as
-// an infinity, whose value may be ±inf or NaN). A NaN value passes.
-// Only slots that pass go on to the exact 2-point predicate, in
-// ascending slot order, so the first match — the decision — is the
+// Let u_f = 2⁻²⁴ and u_d = 2⁻⁵³ be float's and double's unit roundoffs,
+// γ_f(n) and γ_d(n) their γ(n) = n·u/(1 - n·u), n = d + 1, X = max(1,
+// |x0|∞), and M the L1 norm of the region's two weight columns and
+// biases plus a pad of (d+2)·2⁻¹⁰², rounded up to a float. If the exact
+// predicate accepts, its computed logit difference λ lies in the double
+// interval above (τ′ and each log's own rounding included), and the
+// per-class table entries are that interval's ends rounded outward to
+// float. The screen rejects a slot only if its float value v falls
+// outside the float thresholds widened by the slack S = κ·M·X, where κ
+// bounds five terms, each as a multiple of M·X:
+//   1. float accumulation of the d+1 terms: γ_f(n), times 1 + 4u_f for
+//      the stored rows' and x_f's growth over M·X;
+//   2. rounding x0 to float: u_f per term;
+//   3. float storage of the rows: u_f, plus 2u_d for forming each
+//      difference in double first;
+//   4. the exact predicate's own double rounding of λ: γ_d(n);
+//   5. the float arithmetic of the thresholds: lo[a] - hi[b] and the
+//      slack's subtraction each round once, by at most u_f of their
+//      result; that matters only where v is near the threshold, where
+//      the threshold is within S of λ and so at most about M·X in
+//      magnitude: 3u_f covers both.
+// Plus absolute terms, u_f each: differences that round to subnormal
+// floats (at most 2⁻¹⁵⁰ each, times |x_f|), products that underflow,
+// and the predicate's own underflow; the pad makes M·u_f at least
+// (d+2)·2⁻¹²⁶, which covers each of them. A subnormal x0 coordinate's
+// absolute error 2⁻¹⁵⁰ is at most 2⁻¹⁵⁰·|D_j|·X, inside term 2. The
+// slack is computed as (M·g)·ρ, with g ≥ X·(1 + γ_f(n))·(1 + 8u_f) and
+// ρ ≥ κ·(1 + 4u_f), both rounded up; the pad keeps both products normal
+// floats, so their own roundings lose at most u_f each, which ρ covers.
+//
+// Overflow: M·g bounds the magnitude of every partial sum of v, so while
+// it is finite no float operation of the pass overflows and the bounds
+// above hold; when it is +inf, the slack is +inf and the slot survives.
+// M is +inf past FLT_MAX, and a weight difference past FLT_MAX is stored
+// as an infinity, whose M is then +inf too. An x0 coordinate that is NaN
+// or past FLT_MAX has no float image, so such a query passes every slot.
+// A NaN value, threshold or slack passes (the test is written as two
+// rejections). Only slots that pass go on to the exact 2-point predicate,
+// in ascending slot order, so the first match — the decision — is the
 // unscreened scan's. A vacated slot's stale row can only add a survivor,
 // which the caller's occupancy check drops, so eviction leaves rows
 // alone.
@@ -102,7 +128,7 @@ class RegionScreen {
 
   /// Resident bytes one slot's screen state pins (row, magnitude, pair).
   static size_t BytesPerSlot(size_t dim) {
-    return sizeof(float) * (dim + 2) + sizeof(ClassPair);
+    return sizeof(float) * (dim + 2) + 2 * sizeof(uint16_t);
   }
 
   /// Writes slot's row from `model`, paired on the top two classes of `y`,
@@ -123,21 +149,19 @@ class RegionScreen {
   /// Drops every row.
   void Clear() {
     blocks_.clear();
-    classes_.clear();
+    class_a_.clear();
+    class_b_.clear();
   }
 
  private:
-  struct ClassPair {
-    uint16_t a;
-    uint16_t b;
-  };
-
   size_t dim_;
   size_t block_slots_;
   // Block k holds slots [k·block_slots_, (k+1)·block_slots_): d+2 rows of
   // block_slots_ floats each, row-major (layout above).
   std::vector<std::vector<float>> blocks_;
-  std::vector<ClassPair> classes_;
+  // Each slot's class pair (a, b), for every slot of every block.
+  std::vector<uint16_t> class_a_;
+  std::vector<uint16_t> class_b_;
 };
 
 }  // namespace openapi::interpret

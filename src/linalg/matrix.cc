@@ -111,43 +111,6 @@ Vec Matrix::MultiplyTransposed(const Vec& x) const {
   return out;
 }
 
-void MultiplyTransposedF32(const float* rows, size_t num_rows, size_t stride,
-                           size_t cols, const double* x, double* out) {
-  OPENAPI_CHECK_GE(stride, cols);
-  size_t c = 0;
-  if (GetKernelPolicy() == KernelPolicy::kSimd) {
-    // Two independent 8-lane sums per step keep the adder busy while each
-    // sum's chain walks the rows.
-    for (; c + 16 <= cols; c += 16) {
-      simd::D8 lo = simd::D8::Zero();
-      simd::D8 hi = simd::D8::Zero();
-      for (size_t r = 0; r < num_rows; ++r) {
-        const float* row = rows + r * stride + c;
-        const simd::D8 xr = simd::D8::Broadcast(x[r]);
-        lo = simd::MulAdd(simd::D8::LoadWidened(row), xr, lo);
-        hi = simd::MulAdd(simd::D8::LoadWidened(row + 8), xr, hi);
-      }
-      lo.Store(out + c);
-      hi.Store(out + c + 8);
-    }
-    for (; c + 4 <= cols; c += 4) {
-      simd::D4 sum = simd::D4::Zero();
-      for (size_t r = 0; r < num_rows; ++r) {
-        sum = simd::MulAdd(simd::D4::LoadWidened(rows + r * stride + c),
-                           simd::D4::Broadcast(x[r]), sum);
-      }
-      sum.Store(out + c);
-    }
-  }
-  for (; c < cols; ++c) {
-    double sum = 0.0;
-    for (size_t r = 0; r < num_rows; ++r) {
-      sum += static_cast<double>(rows[r * stride + c]) * x[r];
-    }
-    out[c] = sum;
-  }
-}
-
 Matrix Matrix::Multiply(const Matrix& other) const {
   OPENAPI_CHECK_EQ(cols_, other.rows_);
   Matrix out(rows_, other.cols_);

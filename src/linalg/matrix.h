@@ -144,17 +144,6 @@ class Matrix {
   AlignedBuffer data_;
 };
 
-/// Transposed product over float32 rows, accumulated in double:
-///   out[c] = sum over r < num_rows of double(rows[r * stride + c]) * x[r]
-/// for c < cols, summed from 0.0 in ascending r — MultiplyTransposed's
-/// per-element order, so widening the (exact) floats is the only
-/// difference from it. Row r starts at rows + r * stride (stride >= cols).
-/// Under kSimd the column loop runs in lanes, each lane's sum held in a
-/// register across all rows, so out is written once; both policies are
-/// bit-identical. out must not alias x.
-void MultiplyTransposedF32(const float* rows, size_t num_rows, size_t stride,
-                           size_t cols, const double* x, double* out);
-
 }  // namespace openapi::linalg
 
 #endif  // OPENAPI_LINALG_MATRIX_H_

@@ -1,12 +1,14 @@
-// Portable double-lane SIMD helpers, INTERNAL to linalg/.
+// Portable SIMD lane helpers: double lanes for the linalg/ kernels, float
+// lanes for interpret/region_screen.cc's fused screen pass.
 //
 // The matrix kernels vectorize by widening their innermost j
 // (output-column) loop: N output elements advance together, each keeping
 // its own accumulator chain, so the per-element accumulation order over
 // the contraction index is exactly the scalar kernel's — the bit-parity
-// contract the batch/single tests enforce. This header provides the lane
-// types those kernels use and nothing else; no intrinsics or vector
-// extensions appear outside linalg/ translation units.
+// contract the batch/single tests enforce. The screen pass does the same
+// over 16 cache slots at a time. This header provides the lane types
+// those two use and nothing else; no intrinsics or vector extensions
+// appear outside it, and it is included by no other module.
 //
 // On GCC/Clang the lanes compile to native vector code through the
 // generic vector extensions (SSE2/AVX/AVX-512 as the target allows, no
@@ -21,6 +23,7 @@
 #define OPENAPI_LINALG_SIMD_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 
 namespace openapi::linalg::simd {
@@ -29,69 +32,102 @@ namespace openapi::linalg::simd {
 #define OPENAPI_SIMD_VECTOR_EXTENSIONS 1
 #endif
 
-/// Register type backing a width-N lane group. GCC requires a literal
-/// operand for vector_size (a dependent N is silently dropped inside a
-/// template), hence the explicit specializations.
-template <std::size_t N>
+/// Register types backing a lane group of N values of type T: `Type`
+/// holds the values, `Int` one integer of the same width per lane (a
+/// lane comparison yields all ones or all zeros in it). GCC requires a
+/// literal operand for vector_size (a dependent N is silently dropped
+/// inside a template), hence the explicit specializations.
+template <typename T, std::size_t N>
 struct LaneReg {
   struct Type {
-    double lane[N];
+    T lane[N];
+  };
+  struct Int {
+    std::int64_t lane[N];
   };
 };
 
 #if defined(OPENAPI_SIMD_VECTOR_EXTENSIONS)
-// `aligned(8)` relaxes the types' default (N*8-byte) alignment so lane
-// values can live at any spill slot; actual loads/stores below go through
-// memcpy and carry no alignment assumption either.
+// `aligned(sizeof(T))` relaxes the types' default (full-width) alignment
+// so lane values can live at any spill slot; actual loads/stores below go
+// through memcpy and carry no alignment assumption either.
 template <>
-struct LaneReg<4> {
+struct LaneReg<double, 4> {
   typedef double Type __attribute__((vector_size(32), aligned(8)));
+  typedef std::int64_t Int __attribute__((vector_size(32), aligned(8)));
 };
 template <>
-struct LaneReg<8> {
+struct LaneReg<double, 8> {
   typedef double Type __attribute__((vector_size(64), aligned(8)));
-};
-/// The float32 counterparts, the source of LoadWidened's conversion.
-template <std::size_t N>
-struct FloatReg;
-template <>
-struct FloatReg<4> {
-  typedef float Type __attribute__((vector_size(16), aligned(4)));
+  typedef std::int64_t Int __attribute__((vector_size(64), aligned(8)));
 };
 template <>
-struct FloatReg<8> {
-  typedef float Type __attribute__((vector_size(32), aligned(4)));
+struct LaneReg<float, 16> {
+  typedef float Type __attribute__((vector_size(64), aligned(4)));
+  typedef std::int32_t Int __attribute__((vector_size(64), aligned(4)));
+  /// Lookup's 16-bit lane indices.
+  typedef std::uint16_t Index __attribute__((vector_size(32), aligned(2)));
 };
 #endif
 
-/// N doubles processed in lockstep. Supported widths: 4 and 8.
-template <std::size_t N>
+/// One flag per lane, from a lane comparison: set where it held.
+template <typename T, std::size_t N>
+struct LaneMask {
+  typename LaneReg<T, N>::Int m;
+
+  friend LaneMask operator|(LaneMask a, LaneMask b) {
+#if defined(OPENAPI_SIMD_VECTOR_EXTENSIONS)
+    a.m = a.m | b.m;
+#else
+    for (std::size_t i = 0; i < N; ++i) a.m.lane[i] |= b.m.lane[i];
+#endif
+    return a;
+  }
+
+  /// Whether every lane is set.
+  bool All() const {
+#if defined(OPENAPI_SIMD_VECTOR_EXTENSIONS)
+    // AND the lanes' bits together a 64-bit word at a time: set lanes are
+    // all ones, so the AND is all ones exactly when every lane is set.
+    std::uint64_t words[sizeof(m) / sizeof(std::uint64_t)];
+    std::memcpy(words, &m, sizeof(m));
+    std::uint64_t all = ~std::uint64_t{0};
+    for (std::uint64_t w : words) all &= w;
+    return all == ~std::uint64_t{0};
+#else
+    for (std::size_t i = 0; i < N; ++i) {
+      if (!m.lane[i]) return false;
+    }
+    return true;
+#endif
+  }
+
+  bool operator[](std::size_t i) const {
+#if defined(OPENAPI_SIMD_VECTOR_EXTENSIONS)
+    return m[i] != 0;
+#else
+    return m.lane[i] != 0;
+#endif
+  }
+};
+
+/// N values of type T processed in lockstep. Supported: 4 or 8 doubles,
+/// 16 floats.
+template <typename T, std::size_t N>
 struct Lanes {
   static constexpr std::size_t kWidth = N;
-  using Reg = typename LaneReg<N>::Type;
+  using Reg = typename LaneReg<T, N>::Type;
+  using Mask = LaneMask<T, N>;
 
   Reg v;
 
-  static Lanes Load(const double* p) {
+  static Lanes Load(const T* p) {
     Lanes out;
     std::memcpy(&out.v, p, sizeof(out.v));
     return out;
   }
 
-  /// N floats widened to doubles (exact: every float is a double).
-  static Lanes LoadWidened(const float* p) {
-    Lanes out;
-#if defined(OPENAPI_SIMD_VECTOR_EXTENSIONS)
-    typename FloatReg<N>::Type narrow;
-    std::memcpy(&narrow, p, sizeof(narrow));
-    out.v = __builtin_convertvector(narrow, Reg);
-#else
-    for (std::size_t i = 0; i < N; ++i) out.v.lane[i] = p[i];
-#endif
-    return out;
-  }
-
-  static Lanes Broadcast(double x) {
+  static Lanes Broadcast(T x) {
     Lanes out;
 #if defined(OPENAPI_SIMD_VECTOR_EXTENSIONS)
     out.v = x - Reg{};  // splat: {x,x,...} with no per-lane loop
@@ -101,11 +137,30 @@ struct Lanes {
     return out;
   }
 
-  static Lanes Zero() { return Broadcast(0.0); }
+  static Lanes Zero() { return Broadcast(T{0}); }
 
-  void Store(double* p) const { std::memcpy(p, &v, sizeof(v)); }
+  /// Lane i gets entry idx[i] mod 2N of the 2N-entry table t0 ‖ t1: a
+  /// table lookup without a memory access per lane (16-float lanes only).
+  static Lanes Lookup(Lanes t0, Lanes t1, const std::uint16_t* idx) {
+    Lanes out;
+#if defined(OPENAPI_SIMD_VECTOR_EXTENSIONS) && !defined(__clang__)
+    typename LaneReg<T, N>::Index narrow;
+    std::memcpy(&narrow, idx, sizeof(narrow));
+    out.v = __builtin_shuffle(
+        t0.v, t1.v,
+        __builtin_convertvector(narrow, typename LaneReg<T, N>::Int));
+#else
+    for (std::size_t i = 0; i < N; ++i) {
+      const std::size_t k = idx[i] % (2 * N);
+      out.Set(i, k < N ? t0[k] : t1[k - N]);
+    }
+#endif
+    return out;
+  }
 
-  double operator[](std::size_t i) const {
+  void Store(T* p) const { std::memcpy(p, &v, sizeof(v)); }
+
+  T operator[](std::size_t i) const {
 #if defined(OPENAPI_SIMD_VECTOR_EXTENSIONS)
     return v[i];
 #else
@@ -113,7 +168,7 @@ struct Lanes {
 #endif
   }
 
-  void Set(std::size_t i, double x) {
+  void Set(std::size_t i, T x) {
 #if defined(OPENAPI_SIMD_VECTOR_EXTENSIONS)
     v[i] = x;
 #else
@@ -161,17 +216,33 @@ struct Lanes {
     *this = *this + b;
     return *this;
   }
+
+  /// Lanes where a < b (false wherever either is NaN), and a > b.
+  friend Mask operator<(Lanes a, Lanes b) {
+    Mask out;
+#if defined(OPENAPI_SIMD_VECTOR_EXTENSIONS)
+    out.m = a.v < b.v;
+#else
+    for (std::size_t i = 0; i < N; ++i) {
+      out.m.lane[i] = a.v.lane[i] < b.v.lane[i] ? -1 : 0;
+    }
+#endif
+    return out;
+  }
+
+  friend Mask operator>(Lanes a, Lanes b) { return b < a; }
 };
 
-using D4 = Lanes<4>;
-using D8 = Lanes<8>;
+using D4 = Lanes<double, 4>;
+using D8 = Lanes<double, 8>;
+using F16 = Lanes<float, 16>;
 
 /// acc + a * b, element-wise. Written as the plain expression so the
 /// compiler applies exactly the same FP contraction it applies to the
 /// scalar kernels' `sum += a * b` — keeping the two paths bit-identical
 /// whether or not FMA contraction is enabled.
-template <std::size_t N>
-inline Lanes<N> MulAdd(Lanes<N> a, Lanes<N> b, Lanes<N> acc) {
+template <typename T, std::size_t N>
+inline Lanes<T, N> MulAdd(Lanes<T, N> a, Lanes<T, N> b, Lanes<T, N> acc) {
 #if defined(OPENAPI_SIMD_VECTOR_EXTENSIONS)
   acc.v = acc.v + a.v * b.v;
   return acc;

@@ -87,7 +87,9 @@ void RunStream(uint64_t seed, size_t keys, size_t ops) {
       const size_t* got = table.Find(key);
       auto want = reference.find(key);
       ASSERT_EQ(got != nullptr, want != reference.end());
-      if (got != nullptr) ASSERT_EQ(*got, want->second);
+      if (got != nullptr) {
+        ASSERT_EQ(*got, want->second);
+      }
     } else if (roll < 0.998) {
       ASSERT_EQ(table.Erase(key), reference.erase(key) > 0);
     } else {

@@ -406,34 +406,179 @@ TEST(RegionScreenTest, BlockBoundariesKeepOrderAndRange) {
 }
 
 TEST(RegionScreenTest, KernelPoliciesAgreeOnEveryTail) {
-  // Slot counts that end in each leg of the lane kernel (16-wide, 4-wide,
-  // scalar) and dimensions from 1 to past a cache line of floats: the
-  // kSimd and kReference legs return identical survivors, and enough of
-  // them (near copies of the target) that a diverging leg shows.
+  // Every slot count from 1 to 64 (each 16-slot tile's tail, including
+  // multiples of 16 and one either side), dimensions from 1 to past a
+  // cache line of floats, and class counts on both sides of the 32 that
+  // fit the bound tables in registers: the kSimd and kReference legs
+  // return identical survivors, and enough of them (near copies of the
+  // target) that a diverging leg shows.
   util::Rng rng(17);
   for (size_t d : {1, 2, 7, 20}) {
-    const size_t num_classes = 4;
-    const api::LocalLinearModel target =
-        RandomModel(d, num_classes, 1.0, &rng);
-    RegionScreen screen(d);
-    for (size_t slot = 0; slot < 64; ++slot) {
-      const api::LocalLinearModel model =
-          slot % 3 == 0 ? NearCopy(target, &rng)
-                        : RandomModel(d, num_classes, 1.0, &rng);
-      screen.Set(slot, model,
-                 api::EvaluateLocalModel(model,
-                                         rng.UniformVector(d, 0.0, 1.0)));
-    }
-    for (size_t request = 0; request < 10; ++request) {
-      const Vec x0 = rng.UniformVector(d, -1.5, 1.5);
-      const Vec y0 = Perturb(api::EvaluateLocalModel(target, x0),
-                             0.5 * kTol, 0, &rng);
-      for (size_t num_slots = 1; num_slots <= 64; ++num_slots) {
-        const std::vector<size_t> survivors =
-            CollectBothPolicies(screen, x0, y0, num_slots);
-        ASSERT_FALSE(survivors.empty());
-        EXPECT_EQ(survivors.front(), 0u);
+    for (size_t num_classes : {4, 40}) {
+      const api::LocalLinearModel target =
+          RandomModel(d, num_classes, 1.0, &rng);
+      RegionScreen screen(d);
+      for (size_t slot = 0; slot < 64; ++slot) {
+        const api::LocalLinearModel model =
+            slot % 3 == 0 ? NearCopy(target, &rng)
+                          : RandomModel(d, num_classes, 1.0, &rng);
+        screen.Set(slot, model,
+                   api::EvaluateLocalModel(model,
+                                           rng.UniformVector(d, 0.0, 1.0)));
       }
+      for (size_t request = 0; request < 10; ++request) {
+        const Vec x0 = rng.UniformVector(d, -1.5, 1.5);
+        const Vec y0 = Perturb(api::EvaluateLocalModel(target, x0),
+                               0.5 * kTol, 0, &rng);
+        for (size_t num_slots = 1; num_slots <= 64; ++num_slots) {
+          const std::vector<size_t> survivors =
+              CollectBothPolicies(screen, x0, y0, num_slots);
+          ASSERT_FALSE(survivors.empty());
+          EXPECT_EQ(survivors.front(), 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST(RegionScreenTest, ManyClassesHighDimensional) {
+  // C = 300 (bound tables too large for registers) at d = 100.
+  const Screened s = RunPerturbed(100, 300, 0.1, 1.0 - 1e-6, kTol, 18);
+  EXPECT_GE(s.exact, 90u);
+  EXPECT_LT(s.survivors, 3 * s.exact);
+}
+
+/// Screens `copies` slots of `model`, Set at its own prediction at x0,
+/// against y0 under both policies; expects every slot to survive.
+void ExpectAllSurvive(const api::LocalLinearModel& model, const Vec& x0,
+                      const Vec& y0, size_t copies) {
+  RegionScreen screen(x0.size());
+  for (size_t slot = 0; slot < copies; ++slot) {
+    screen.Set(slot, model, api::EvaluateLocalModel(model, x0));
+  }
+  EXPECT_EQ(CollectBothPolicies(screen, x0, y0, copies).size(), copies);
+}
+
+TEST(RegionScreenTest, FloatAccumulationErrorIsCovered) {
+  // x0 = 1 and float weights, so neither rounding x0 nor storing the rows
+  // loses anything; but each of the d-1 small terms is just over half an
+  // ulp of the running sum, so every float addition rounds up by almost
+  // half an ulp: v exceeds the exact log-odds by ~(d-1)·u_f, while the
+  // answer puts them at the top of their interval. Only the float
+  // accumulation term of the slack keeps the match.
+  for (size_t d : {16, 64}) {
+    api::LocalLinearModel model;
+    model.weights = linalg::Matrix(d, 2);
+    model.weights(0, 0) = 1.0;
+    for (size_t j = 1; j < d; ++j) {
+      model.weights(j, 0) = 0x1p-24 + 0x1p-34;
+    }
+    model.bias = {0.0, 0.0};
+    const Vec x0(d, 1.0);
+    const Vec y = api::EvaluateLocalModel(model, x0);
+    util::Rng rng(19);
+    for (int pattern : {1, -1}) {
+      const Vec y0 = Perturb(y, (1.0 - 1e-6) * kTol, pattern, &rng);
+      ASSERT_TRUE(ModelExplains(model, x0, y0, kTol));
+      ExpectAllSurvive(model, x0, y0, 20);
+    }
+  }
+}
+
+TEST(RegionScreenTest, SubnormalRowsAtHugeX0) {
+  // Weight differences of (k + 0.49)·2^-149 round down to subnormal
+  // floats, each losing 0.49·2^-149; at x0 = 3e38 (a float) that is
+  // ~2e-7 of log-odds per coordinate, all in one direction, far past the
+  // interval and the relative slack of so small a row. Only the
+  // magnitude's pad keeps the match.
+  util::Rng rng(20);
+  const size_t d = 8;
+  api::LocalLinearModel model;
+  model.weights = linalg::Matrix(d, 3);
+  for (size_t j = 0; j < d; ++j) {
+    const double k = std::floor(rng.Uniform(100.0, 1000.0));
+    model.weights(j, 0) = (k + 0.49) * 0x1p-149;
+  }
+  model.bias = {0.0, 0.0, 0.0};
+  const Vec x0(d, 3e38);
+  const Vec y = api::EvaluateLocalModel(model, x0);
+  for (int pattern : {1, -1}) {
+    const Vec y0 = Perturb(y, (1.0 - 1e-6) * kTol, pattern, &rng);
+    ASSERT_TRUE(ModelExplains(model, x0, y0, kTol));
+    ExpectAllSurvive(model, x0, y0, 20);
+  }
+}
+
+TEST(RegionScreenTest, OverflowingFloatSumsSurvive) {
+  // Weights of 1e30 at x0 = 1e10: every float product overflows (the
+  // answer is saturated, the value inf or NaN).
+  util::Rng rng(21);
+  const size_t d = 4;
+  api::LocalLinearModel big = RandomModel(d, 3, 1e30, &rng);
+  const Vec x_big(d, 1e10);
+  const Vec y_big = api::EvaluateLocalModel(big, x_big);
+  ASSERT_TRUE(ModelExplains(big, x_big, y_big, kTol));
+  ExpectAllSurvive(big, x_big, y_big, 20);
+  // Products of ±3e38 fit a float, but the partial sum 3e38 + 3e38 does
+  // not: v = +inf, while the exact log-odds cancel to the bias difference
+  // of 1. Only the slack's overflow guard (M·g = +inf) keeps the match.
+  api::LocalLinearModel cancel;
+  cancel.weights = linalg::Matrix(d, 3);
+  const double row[] = {3e28, 3e28, -3e28, -3e28};
+  for (size_t j = 0; j < d; ++j) cancel.weights(j, 0) = row[j];
+  cancel.bias = {1.0, 0.0, -1.0};
+  const Vec y = api::EvaluateLocalModel(cancel, x_big);
+  for (int pattern : {1, -1, 0}) {
+    const Vec y0 = Perturb(y, 0.5 * kTol, pattern, &rng);
+    ASSERT_TRUE(ModelExplains(cancel, x_big, y0, kTol));
+    ExpectAllSurvive(cancel, x_big, y0, 20);
+  }
+}
+
+TEST(RegionScreenTest, ExtremeX0Coordinates) {
+  // One coordinate of x0 at 1e39 (past FLT_MAX), 3e38 (a float, but
+  // M·|x0|∞ overflows for most rows), 1e-41 (a subnormal float) or NaN;
+  // the rest random. Weights on that coordinate are scaled to keep the
+  // logits moderate. Every exact match survives; with no float image of
+  // x0 (1e39, NaN) every slot does.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  util::Rng rng(22);
+  const size_t d = 5, num_classes = 4, num_slots = 40;
+  for (double extreme : {1e39, 3e38, 1e-41, nan}) {
+    const double scale =
+        std::isnan(extreme) ? 1.0 : 1.0 / std::max(1.0, extreme);
+    std::vector<api::LocalLinearModel> models;
+    Vec x0 = rng.UniformVector(d, -1.0, 1.0);
+    x0[2] = extreme;
+    for (size_t slot = 0; slot < num_slots; ++slot) {
+      api::LocalLinearModel model = RandomModel(d, num_classes, 1.0, &rng);
+      for (size_t c = 0; c < num_classes; ++c) model.weights(2, c) *= scale;
+      models.push_back(std::move(model));
+    }
+    RegionScreen screen(d);
+    for (size_t slot = 0; slot < num_slots; ++slot) {
+      Vec anchor = rng.UniformVector(d, -1.0, 1.0);
+      anchor[2] = std::isnan(extreme) ? 0.5 : extreme;
+      screen.Set(slot, models[slot],
+                 api::EvaluateLocalModel(models[slot], anchor));
+    }
+    for (size_t target = 0; target < num_slots; target += 7) {
+      const Vec y0 = Perturb(api::EvaluateLocalModel(models[target], x0),
+                             0.5 * kTol, 0, &rng);
+      const std::vector<size_t> survivors =
+          CollectBothPolicies(screen, x0, y0, num_slots);
+      if (!(extreme <= std::numeric_limits<float>::max())) {
+        EXPECT_EQ(survivors.size(), num_slots) << extreme;
+      }
+      size_t exact = 0;
+      for (size_t slot = 0; slot < num_slots; ++slot) {
+        if (!ModelExplains(models[slot], x0, y0, kTol)) continue;
+        ++exact;
+        EXPECT_TRUE(
+            std::binary_search(survivors.begin(), survivors.end(), slot))
+            << "x0[2] = " << extreme << ": rejected slot " << slot;
+      }
+      EXPECT_EQ(exact > 0, !std::isnan(extreme)) << extreme;
     }
   }
 }

@@ -121,43 +121,6 @@ TEST(SimdParityTest, MultiplyTransposedMatchesReference) {
   }
 }
 
-TEST(SimdParityTest, MultiplyTransposedF32MatchesReference) {
-  // Float rows, double sums: every column count from 1 to 40 ends in
-  // each leg (16-wide, 4-wide, scalar), the stride leaves a gap after
-  // each row, and the widened result equals MultiplyTransposed on the
-  // same values held as doubles.
-  util::Rng rng(110);
-  for (size_t rows : {1u, 3u, 9u, 33u}) {
-    for (size_t cols = 1; cols <= 40; ++cols) {
-      const size_t stride = cols + cols % 5;
-      std::vector<float> narrow(rows * stride);
-      Matrix wide(rows, cols);
-      for (size_t r = 0; r < rows; ++r) {
-        for (size_t c = 0; c < stride; ++c) {
-          narrow[r * stride + c] = static_cast<float>(rng.Uniform(-2.0, 2.0));
-          if (c < cols) wide(r, c) = narrow[r * stride + c];
-        }
-      }
-      const Vec x = RandomVec(rows, &rng);
-      ExpectPolicyParity(
-          [&] {
-            Vec out(cols);
-            MultiplyTransposedF32(narrow.data(), rows, stride, cols, x.data(),
-                                  out.data());
-            return out;
-          },
-          "MultiplyTransposedF32");
-      Vec out(cols);
-      MultiplyTransposedF32(narrow.data(), rows, stride, cols, x.data(),
-                            out.data());
-      const Vec expected = wide.MultiplyTransposed(x);
-      for (size_t c = 0; c < cols; ++c) {
-        ASSERT_EQ(out[c], expected[c]) << rows << "x" << cols << " col " << c;
-      }
-    }
-  }
-}
-
 TEST(SimdParityTest, AddRowInPlaceMatchesReference) {
   util::Rng rng(105);
   for (const Shape& s : kShapes) {
