@@ -33,7 +33,7 @@ def load_metrics(checkout):
 
     `better` is "lower" or "higher"; `bound` is the fraction by which the
     metric may worsen before a change counts as a regression (None if the
-    file gives none).
+    file gives none, as for the per-layer metrics of a traced run).
     """
     path = os.path.join(checkout, "BENCHMARK.json")
     try:
@@ -42,33 +42,34 @@ def load_metrics(checkout):
     except (OSError, ValueError):
         return {}
     return {m["name"]: (m["better"], m.get("bound"))
-            for m in spec.get("end_to_end", [])}
+            for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
 
 
-def verdict(base, head, higher, bound):
-    """One row's verdict against BASE, or "" when there is nothing to say.
+def compare(base, head, higher, bound):
+    """One row: quartiles of each side, HEAD's wins, and the verdict.
 
     "clear gain": HEAD wins at least 9 of 10 pairs and its median beats
     BASE's by more than BASE's interquartile range. "unresolved": BASE's
     own spread (IQR over median) exceeds the bound, so a regression of the
     bound's size could not be told from noise, unless every HEAD run beats
     every BASE run. "REGRESSED": HEAD's median is worse than BASE's by
-    more than the bound.
+    more than the bound. "" when there is nothing to say.
     """
     b1, bm, b3 = quartiles(base)
-    _, hm, _ = quartiles(head)
+    h1, hm, h3 = quartiles(head)
     wins = sum((h > b) if higher else (h < b) for b, h in zip(base, head))
     gain = (hm - bm) if higher else (bm - hm)
+    note = ""
     if wins * 10 >= 9 * len(base) and gain > (b3 - b1):
-        return "clear gain"
-    if bound is None or bm == 0:
-        return ""
-    all_better = (min(head) > max(base)) if higher else (max(head) < min(base))
-    if (b3 - b1) / abs(bm) > bound and not all_better:
-        return "unresolved"
-    if -gain / abs(bm) > bound:
-        return "REGRESSED"
-    return ""
+        note = "clear gain"
+    elif bound is not None and bm != 0:
+        all_better = ((min(head) > max(base)) if higher
+                      else (max(head) < min(base)))
+        if (b3 - b1) / abs(bm) > bound and not all_better:
+            note = "unresolved"
+        elif -gain / abs(bm) > bound:
+            note = "REGRESSED"
+    return (b1, bm, b3), (h1, hm, h3), wins, note
 
 
 def run_once(checkout, workload, seed, seconds, trace):
@@ -127,9 +128,12 @@ def main():
                     got[side] = run_once(checkouts[side], workload, seed,
                                          args.seconds, args.trace)
                 runs[workload].append((seed, got["base"], got["head"]))
+                # A traced run reports the per-layer metrics instead.
+                shown = ("latency_p50_ms" if not args.trace
+                         else "interpret.miss_self_ms")
                 print(f"pair {pair + 1}/{args.pairs} {workload} seed {seed}: "
-                      f"latency_p50_ms {got['base'].get('latency_p50_ms')} "
-                      f"-> {got['head'].get('latency_p50_ms')}",
+                      f"{shown} {got['base'].get(shown)} "
+                      f"-> {got['head'].get(shown)}",
                       file=sys.stderr, flush=True)
 
     for workload, rows in runs.items():
@@ -140,14 +144,10 @@ def main():
         for name in rows[0][1]:
             base = [r[1][name] for r in rows]
             head = [r[2][name] for r in rows]
-            b1, bm, b3 = quartiles(base)
-            h1, hm, h3 = quartiles(head)
             better, bound = metrics.get(name, ("lower", None))
-            higher = better == "higher"
-            wins = sum((h > b) if higher else (h < b)
-                       for b, h in zip(base, head))
+            (b1, bm, b3), (h1, hm, h3), wins, note = compare(
+                base, head, better == "higher", bound)
             change = (hm - bm) / bm * 100.0 if bm else 0.0
-            note = verdict(base, head, higher, bound)
             print(f"  {name:<20} {bm:>12.6g} [{b1:.6g}, {b3:.6g}]"
                   f"{'':>2} {hm:>12.6g} [{h1:.6g}, {h3:.6g}]"
                   f"{'':>2} {change:>+7.1f}% {wins:>5}/{len(rows)}"

@@ -104,8 +104,9 @@ constexpr size_t kTile = linalg::simd::F16::kWidth;
 
 /// The kSimd leg: 16 slots per tile, all in float lanes. With
 /// kTablesInRegisters (at most 2·kTile classes) the bounds are looked up
-/// in registers; otherwise they are read slot by slot. Appends
-/// `first` + the index of each surviving slot.
+/// in registers; otherwise they are read slot by slot, which at C = 10
+/// ran 1.2-2.4x slower (bench_kernels ScreenCollect/ScreenCollectCold,
+/// 10^3..10^5 slots). Appends `first` + the index of each surviving slot.
 template <bool kTablesInRegisters>
 void CollectTiles(const ScreenBlock& block, const ScreenQuery& q,
                   size_t first, std::vector<size_t>* survivors) {
